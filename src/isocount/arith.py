@@ -2,11 +2,15 @@
 
 Everything here is exact and deterministic: Miller-Rabin with a fixed
 witness set (deterministic below 3.3 * 10^24), Pollard rho with a fixed
-polynomial schedule, sieves, symbols, and nth-root extraction.
+polynomial schedule, sieves, symbols, and the root kernel: integer k-th
+roots, floors and ceilings of rational roots and powers, and the prime
+windows [L, 2 L^e] built on them.
 """
 
 import math
 from fractions import Fraction
+
+from .errors import DomainError, ResourceBudgetError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -133,29 +137,55 @@ def radical(n):
 
 
 def iroot(n, k):
-    """(r, exact) with r = floor(n^(1/k)) for n >= 0, k >= 1."""
+    """(r, exact) with r = floor(n^(1/k)) for n >= 0, k >= 1.
+
+    Integer Newton from 2^ceil(bits/k), which is at least the root; the
+    iterates fall strictly until they reach the floor, in O(log bits) steps.
+    """
     if n < 0 or k < 1:
         raise ValueError("iroot wants n >= 0, k >= 1")
-    if n in (0, 1) or k == 1:
+    if n < 2 or k == 1:
         return n, True
-    r = int(round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r, r ** k == n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r, r ** k == n
+        r = s
 
 
-def nth_root_fraction(x, k):
-    """Exact k-th root of a nonnegative Fraction, or None if irrational."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    rn, okn = iroot(x.numerator, k)
-    rd, okd = iroot(x.denominator, k)
-    if okn and okd:
-        return Fraction(rn, rd)
-    return None
+def floor_root(x, k):
+    """floor(x^(1/k)) for a rational x >= 0 (r^k <= x iff r^k <= floor(x))."""
+    return iroot(math.floor(x), k)[0]
+
+
+def ceil_root(x, k):
+    """ceil(x^(1/k)) for a rational x >= 0 (r^k >= x iff r^k >= ceil(x))."""
+    r, exact = iroot(math.ceil(x), k)
+    return r if exact else r + 1
+
+
+MAX_INTERVAL_EXPONENT = 10 ** 4
+
+
+def floor_power(base, expo):
+    """floor(2 * base^expo) for rational base > 1 and rational expo >= 1."""
+    base = Fraction(base)
+    expo = Fraction(expo)
+    if expo > MAX_INTERVAL_EXPONENT:
+        raise ResourceBudgetError(
+            "interval exponent %s beyond the supported desk scale" % expo
+        )
+    u, v = expo.numerator, expo.denominator
+    return floor_root(2 ** v * base ** u, v)
+
+
+def interval_of(l_param, expo):
+    """The prime window [ceil(L), floor(2 L^expo)] as integers."""
+    l_fr = Fraction(l_param)
+    if l_fr <= 2:
+        raise DomainError("L must exceed 2")
+    return math.ceil(l_fr), floor_power(l_fr, expo)
 
 
 def ext_gcd(a, b):
@@ -175,15 +205,6 @@ def inv_mod(a, m):
     if g != 1:
         raise ValueError("%d not invertible mod %d" % (a, m))
     return s % m
-
-
-def legendre(a, p):
-    """Legendre symbol (a|p) for an odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 def kronecker(a, n):

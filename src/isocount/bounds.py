@@ -35,34 +35,17 @@ class SpectralParameters:
 class ConstantsConfig:
     """The adjustable constants: all rational, all positive.
 
-    c1..c10 default to 1 (smallest legal scale for desk-size parameter
-    choices); linnik_exponent pins the threshold x >= m^c used by the
-    empirical progression check; eps is the envelope exponent slack;
-    envelope_constant the fitted constant of the point-count envelope;
-    packing_constant the fitted constant of the angle-packing bound.
+    c1 scales the largeness condition on M (1 is the smallest legal scale
+    for desk-size parameter choices); eps is the envelope exponent slack;
+    envelope_constant the fitted constant of the point-count envelope.
     """
 
     c1: Fraction = Fraction(1)
-    c2: Fraction = Fraction(1)
-    c3: Fraction = Fraction(1)
-    c4: Fraction = Fraction(1)
-    c5: Fraction = Fraction(1)
-    c6: Fraction = Fraction(1)
-    c7: Fraction = Fraction(1)
-    c8: Fraction = Fraction(1)
-    c9: Fraction = Fraction(1)
-    c10: Fraction = Fraction(1)
-    linnik_exponent: Fraction = Fraction(3)
     eps: Fraction = Fraction(1, 2)
     envelope_constant: Fraction = Fraction(100)
-    packing_constant: Fraction = Fraction(64)
-    level: int = 1
 
     def __post_init__(self):
-        for name in (
-            "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9", "c10",
-            "linnik_exponent", "eps", "envelope_constant", "packing_constant",
-        ):
+        for name in ("c1", "eps", "envelope_constant"):
             v = Fraction(getattr(self, name))
             if v <= 0:
                 raise DomainError("constant %s must be positive" % name)

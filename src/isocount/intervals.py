@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from contextlib import contextmanager
 from fractions import Fraction
 
-from mpmath import iv, mpf, nstr
+from mpmath import iv, mpf
 
 from .errors import PrecisionExhausted
 
@@ -122,20 +122,6 @@ def iv_acos(x):
     lo_br = _acos_bracket(hi_arg)
     hi_br = _acos_bracket(lo_arg)
     return iv.mpf([lo_br[0].a, hi_br[1].b])
-
-
-def interval_to_json(x, prec=None):
-    """Serialize as decimal endpoint strings with a precision tag."""
-    return {
-        "lo": mpf_to_str(x.a),
-        "hi": mpf_to_str(x.b),
-        "prec": int(prec if prec is not None else iv.prec),
-    }
-
-
-def mpf_to_str(v):
-    digits = max(20, iv.prec // 3)
-    return nstr(mpf(v), digits)
 
 
 def endpoint_fraction(v):

@@ -1,8 +1,10 @@
 """Exact integer/rational matrix primitives.
 
+The exact elimination kernel (`Echelon`, with `det` and `solve` on top),
 Smith normal form with a deterministic pivot rule, determinantal divisors,
 denominators, 2x2 minor sets and the quadratic-residue goodness test for
-primes.  No floating point anywhere; entries are Python ints and Fractions.
+primes.  No floating point anywhere; entries are Python ints, Fractions or,
+for the elimination kernel, radical-field elements.
 """
 
 import itertools
@@ -121,30 +123,79 @@ def _int_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def _frac_det(rows):
-    n = len(rows)
-    m = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
+class Echelon:
+    """Incremental row echelon form over an exact field.
+
+    Rows are kept in arrival order.  Each added row is reduced against the
+    rows kept before it and, when something is left, scaled to 1 at its
+    pivot (its first nonzero column).  Entries are ints, Fractions or
+    radical-field elements: anything with exact field operations whose zero
+    is falsy.
+    """
+
+    __slots__ = ("rows", "pivots", "leads")
+
+    def __init__(self):
+        self.rows = []  # reduced rows, 1 at their pivot, 0 at earlier pivots
+        self.pivots = []
+        self.leads = []  # pivot value of each kept row before scaling
+
+    def add(self, row):
+        """Reduce and keep `row`; True exactly when the rank rises."""
+        acc = list(row)
+        for erow, piv in zip(self.rows, self.pivots):
+            acc = _eliminate(acc, erow, piv)
+        piv = next((i for i, x in enumerate(acc) if x), None)
         if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return sign * det
+            return False
+        lead = acc[piv]
+        inv = Fraction(1) / lead  # exact for int input too
+        self.rows.append([x * inv for x in acc])
+        self.pivots.append(piv)
+        self.leads.append(lead)
+        return True
+
+    def rref(self):
+        """(rows, pivots) of the reduced row echelon form, pivots ascending."""
+        done = {}
+        # a kept row is already 0 at earlier pivots; clear the later ones
+        for row, piv in zip(reversed(self.rows), reversed(self.pivots)):
+            for p, other in done.items():
+                row = _eliminate(row, other, p)
+            done[piv] = row
+        pivots = sorted(done)
+        return [tuple(done[p]) for p in pivots], pivots
+
+
+def _eliminate(row, other, piv):
+    """row minus the multiple of `other` (1 at piv) that clears column piv."""
+    f = row[piv]
+    if not f:
+        return row
+    return [a - f * b for a, b in zip(row, other)]
+
+
+def det(rows):
+    """Determinant of a square matrix over an exact field."""
+    ech = Echelon()
+    for row in rows:
+        if not ech.add(row):
+            return rows[0][0] * 0
+    p = ech.pivots
+    inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1 :])
+    return (-1) ** inversions * math.prod(ech.leads)
+
+
+def solve(a, b):
+    """x with a x = b for a square matrix a over an exact field, or None
+    exactly when det(a) = 0."""
+    n = len(a)
+    ech = Echelon()
+    for row, rhs in zip(a, b):
+        if not ech.add(list(row) + [rhs]) or ech.pivots[-1] == n:
+            return None
+    rows, _ = ech.rref()
+    return [r[n] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +361,7 @@ class RationalSymMatrix:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise DomainError("matrix is not symmetric")
-        for k in range(1, n + 1):
-            if _frac_det([r[:k] for r in rows[:k]]) <= 0:
-                raise DomainError("matrix is not positive definite")
+        _ldl(rows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_den", None)
@@ -372,15 +421,7 @@ class RationalSymMatrix:
 
     def quadratic_value(self, y):
         """y^T Q y as a Fraction."""
-        n = self.n
-        e = self.entries
-        acc = Fraction(0)
-        for i in range(n):
-            yi = y[i]
-            if yi:
-                row = e[i]
-                acc += yi * sum(row[j] * y[j] for j in range(n))
-        return acc
+        return self.bilinear_value(y, y)
 
     def bilinear_value(self, x, y):
         n = self.n
@@ -410,21 +451,7 @@ class RationalSymMatrix:
         upper triangular list-of-lists with unit diagonal; used by the
         lattice enumeration to complete squares.
         """
-        n = self.n
-        a = [[Fraction(x) for x in r] for r in self.entries]
-        d = [Fraction(0)] * n
-        u = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            d[k] = a[k][k]
-            if d[k] <= 0:
-                raise DomainError("not positive definite")
-            for j in range(k + 1, n):
-                u[k][j] = a[k][j] / d[k]
-            for i in range(k + 1, n):
-                for j in range(i, n):
-                    a[i][j] -= d[k] * u[k][i] * u[k][j]
-                    a[j][i] = a[i][j]
-        return d, u
+        return _ldl(self.entries)
 
     def lambda_min_lower_bound(self):
         """Certified rational lower bound on the smallest eigenvalue.
@@ -432,9 +459,22 @@ class RationalSymMatrix:
         det(Q) / trace(Q)^(n-1) works because lambda_max <= trace for a PD
         matrix; crude but rational and safe.
         """
-        det = _frac_det([list(r) for r in self.entries])
+        d = det(self.entries)
         tr = sum(self.entries[i][i] for i in range(self.n))
-        return det / tr ** (self.n - 1)
+        return d / tr ** (self.n - 1)
+
+
+def _ldl(rows):
+    """(d, u) with rows = U^T diag(d) U and U unit upper triangular, for a
+    symmetric positive definite matrix; DomainError for any other."""
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    # Sylvester: positive definite iff the pivots run down the diagonal with
+    # positive values, the ratios of consecutive leading principal minors
+    if ech.pivots != list(range(len(rows))) or any(x <= 0 for x in ech.leads):
+        raise DomainError("matrix is not positive definite")
+    return ech.leads, ech.rows
 
 
 def denominator(entries):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, kronecker, primes_in_range, radical, squarefree_part
+from .arith import factorize, iroot, kronecker, primes_in_range, radical, squarefree_part
 from .errors import DomainError
 from .matrices import is_q_good
 
@@ -144,8 +144,7 @@ def prime_powers_in_window(lo, hi):
     while 2 ** (k_max + 1) <= hi:
         k_max += 1
     for k in range(2, k_max + 1):
-        root_hi = math.floor(hi ** (1.0 / k)) + 2
-        for p in primes_in_range(2, root_hi):
+        for p in primes_in_range(2, iroot(hi, k)[0]):
             pk = p ** k
             if lo <= pk <= hi:
                 out.append((pk, p))

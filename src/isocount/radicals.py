@@ -29,6 +29,7 @@ from .intervals import (
     iv_pow_fraction,
     precision,
 )
+from .matrices import Echelon, det, solve
 
 
 def euler_phi(n):
@@ -153,12 +154,6 @@ class RadicalFieldSpec:
         return cache[key]
 
 
-def merge_specs(a, b):
-    if a.degree != b.degree:
-        raise DomainError("cannot merge specs of different degree")
-    return RadicalFieldSpec(a.degree, a.radicands + b.radicands)
-
-
 class FieldElement:
     """Element of a RadicalFieldSpec: sparse rational combination of monomials."""
 
@@ -180,6 +175,9 @@ class FieldElement:
 
     def is_zero(self):
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def is_rational(self):
         if not self.coeffs:
@@ -308,7 +306,7 @@ class FieldElement:
         mat = [[cols[j][i] for j in range(d)] for i in range(d)]
         rhs = [Fraction(0)] * d
         rhs[index[(0,) * len(self.spec.primes)]] = Fraction(1)
-        sol = _solve_rational(mat, rhs)
+        sol = solve(mat, rhs)
         if sol is None:
             raise ZeroDivisionError("element is a zero divisor (spec invalid?)")
         return FieldElement(self.spec, {e: sol[i] for i, e in enumerate(mons)})
@@ -338,7 +336,7 @@ class FieldElement:
             prod = self * FieldElement(self.spec, {e: Fraction(1)})
             for ee, c in prod.coeffs.items():
                 mat[index[ee]][j] = c
-        return _det_rational(mat)
+        return det(mat)
 
     def real_interval(self):
         """Interval for the real embedding at the current working precision."""
@@ -437,51 +435,6 @@ class FieldElement:
         """Canonical decomposition num/den with both in the integral subring."""
         den = self.denominator_lcm()
         return BalancedPair(self * den, self.spec.from_rational(den))
-
-
-def _solve_rational(mat, rhs):
-    n = len(mat)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return [m[i][n] for i in range(n)]
-
-
-def _det_rational(mat):
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
 
 
 def conjugate_moduli(x, prec=START_PREC):
@@ -694,65 +647,6 @@ def _find_spec(vectors):
     return RadicalFieldSpec(1, ())
 
 
-def independent_subset(rows, spec=None):
-    """Indices of a maximal independent subset, scanned in the given order."""
-    if not rows:
-        return []
-    if spec is None:
-        spec = _find_spec(rows)
-    vs = coerce_vectors(spec, rows)
-    basis = []
-    picked = []
-    for idx, v in enumerate(vs):
-        acc = v
-        for w in basis:
-            piv = next(i for i, x in enumerate(w) if not x.is_zero())
-            if not acc[piv].is_zero():
-                acc = vec_sub(acc, vec_scale(w, acc[piv] / w[piv]))
-        if not vec_is_zero(acc):
-            basis.append(_normalize_leading(acc))
-            picked.append(idx)
-    return picked
-
-
-def _normalize_leading(v):
-    piv = next(i for i, x in enumerate(v) if not x.is_zero())
-    inv = v[piv].inverse()
-    return tuple(x * inv for x in v)
-
-
-def rref(rows, spec=None):
-    """Reduced row echelon form over the field; returns (rows, pivot_cols)."""
-    if not rows:
-        return [], []
-    if spec is None:
-        spec = _find_spec(rows)
-    m = [list(r) for r in coerce_vectors(spec, rows)]
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]], pivots
-
-
 @dataclass
 class DistanceResult:
     distance_sq: FieldElement  # exact
@@ -775,8 +669,9 @@ def distance_to_subspace(v, generators, spec=None):
         spec = _find_spec(list(generators) + [v])
     gens = coerce_vectors(spec, generators)
     vv = coerce_vectors(spec, [v])[0]
-    keep = independent_subset(gens, spec=spec)
-    basis = gram_schmidt([gens[i] for i in keep], spec=spec) if keep else []
+    ech = Echelon()
+    keep = [g for g in gens if ech.add(g)]
+    basis = gram_schmidt(keep, spec=spec)
     dist_sq = spec.zero()
     for w in basis:
         c = vec_dot(vv, w)
@@ -797,7 +692,7 @@ def distance_to_subspace(v, generators, spec=None):
     )
 
 
-def kernel_basis_bounded(rows, spec=None, with_certificates=False, bound=None, alpha=None):
+def kernel_basis_bounded(rows, spec=None):
     """Basis of H = {y : <b_j, y> = 0 for all j} with integral entries.
 
     Pivot columns are the lexicographically first independent set (the
@@ -810,7 +705,10 @@ def kernel_basis_bounded(rows, spec=None, with_certificates=False, bound=None, a
     if spec is None:
         spec = _find_spec(rows)
     m = len(rows[0])
-    red, pivots = rref(rows, spec=spec)
+    ech = Echelon()
+    for row in coerce_vectors(spec, rows):
+        ech.add(row)
+    red, pivots = ech.rref()
     if len(pivots) == m:
         raise ZeroKernel("generators span the whole space")
     free = [c for c in range(m) if c not in pivots]
@@ -826,20 +724,4 @@ def kernel_basis_bounded(rows, spec=None, with_certificates=False, bound=None, a
             scale = scale * d // math.gcd(scale, d)
         y = tuple(x * scale for x in y)
         basis.append(y)
-    if not with_certificates:
-        return basis
-    certs = []
-    for y in basis:
-        row_certs = []
-        for x in y:
-            if bound is None:
-                row_certs.append(None)
-            else:
-                _, cert = is_well_balanced(
-                    BalancedPair(x, spec.one()) if not x.is_zero() else BalancedPair(spec.zero(), spec.one()),
-                    alpha if alpha is not None else Fraction(1),
-                    bound,
-                )
-                row_certs.append(cert)
-        certs.append(tuple(row_certs))
-    return basis, certs
+    return basis

@@ -28,7 +28,13 @@ from .xchg import (
     pair_scalar_m,
     replacement_field,
 )
-from .arith import primes_in_range
+from .arith import (
+    MAX_INTERVAL_EXPONENT,
+    ceil_root,
+    floor_power,
+    interval_of,
+    primes_in_range,
+)
 
 
 class PairCase(enum.Enum):
@@ -49,35 +55,6 @@ def classify_pair(p, q, nu, n):
 
 def target_is_integral(p, q, nu, n):
     return p == q or (2 * nu) % n == 0
-
-
-MAX_INTERVAL_EXPONENT = 10 ** 4
-
-
-def floor_power(base, expo):
-    """floor(2 * base^expo) for rational base > 1 and rational expo >= 1."""
-    base = Fraction(base)
-    expo = Fraction(expo)
-    if expo > MAX_INTERVAL_EXPONENT:
-        raise ResourceBudgetError(
-            "interval exponent %s beyond the supported desk scale" % expo
-        )
-    u, v = expo.numerator, expo.denominator
-    target = Fraction(2) ** v * base ** u
-    x = int(round(float(target) ** (1.0 / v))) if target < 10 ** 300 else 1
-    while Fraction(x) ** v > target:
-        x -= 1
-    while Fraction(x + 1) ** v <= target:
-        x += 1
-    return x
-
-
-def interval_of(l_param, expo):
-    """[ceil(L), floor(2 L^expo)] as integers."""
-    l_fr = Fraction(l_param)
-    if l_fr <= 2:
-        raise DomainError("L must exceed 2")
-    return math.ceil(l_fr), floor_power(l_fr, expo)
 
 
 @dataclass
@@ -288,23 +265,14 @@ def inner_chain(
 
 
 def _tilde_window(l_cal, d1, j):
-    """[L^(D1^j), 2 L^(D1^j)] as integers."""
+    """[ceil(L^(D1^j)), floor(2 L^(D1^j))] as integers."""
     l_fr = Fraction(l_cal)
     expo = Fraction(d1) ** j
     if expo > MAX_INTERVAL_EXPONENT:
         raise ResourceBudgetError(
             "inner window exponent %s beyond the supported desk scale" % expo
         )
-    hi = floor_power(l_fr, expo)
-    # lower endpoint: ceil(L^expo) = ceil of the exact power
-    u, v = expo.numerator, expo.denominator
-    target = l_fr ** u
-    x = int(round(float(target) ** (1.0 / v)))
-    while Fraction(x) ** v < target:
-        x += 1
-    while x >= 1 and Fraction(x - 1) ** v >= target:
-        x -= 1
-    return x, hi
+    return ceil_root(l_fr ** expo.numerator, expo.denominator), floor_power(l_fr, expo)
 
 
 @dataclass
@@ -554,10 +522,7 @@ def _interval_nesting_holds(l_param, l_cal, d1, d2, i, n):
     sym_dim = n * (n + 1) // 2
     d1, d2 = Fraction(d1), Fraction(d2)
     l_fr = Fraction(l_param)
-    try:
-        inner_top = floor_power(l_cal, d1 ** sym_dim)
-        outer_i_top = floor_power(l_fr, d1 ** i * d2 ** (i + 1))
-        outer_next_top = floor_power(l_fr, d1 ** (i + 1) * d2 ** (i + 2))
-    except (OverflowError, ValueError):
-        return False
+    inner_top = floor_power(l_cal, d1 ** sym_dim)
+    outer_i_top = floor_power(l_fr, d1 ** i * d2 ** (i + 1))
+    outer_next_top = floor_power(l_fr, d1 ** (i + 1) * d2 ** (i + 2))
     return outer_i_top < math.ceil(l_cal) and inner_top <= outer_next_top

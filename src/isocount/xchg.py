@@ -11,7 +11,6 @@ containment that justifies the exchange is re-verified here by direct
 membership of every enumerated matrix.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from .errors import (
     PreconditionFailed,
     ZeroKernel,
 )
-from .matrices import IntegerMatrix, RationalSymMatrix, Region
+from .matrices import Echelon, IntegerMatrix, RationalSymMatrix, Region, det, solve
 from .radicals import (
     FieldElement,
     RadicalFieldSpec,
@@ -36,7 +35,7 @@ from .radicals import (
     kernel_basis_bounded,
     vec_dot,
 )
-from .arith import factorize, primes_in_range
+from .arith import factorize, interval_of, iroot, primes_in_range
 
 
 def sym_index_pairs(n):
@@ -197,35 +196,28 @@ def full_sym_subspace(n):
     return SymSubspace(n=n, spec=spec, generator_rows=(), provenance=(), basis=tuple(basis))
 
 
-def select_generators(rows_with_labels, n, spec):
+def select_generators(rows_with_labels, n):
     """Greedy minimal independent row set, in the order given.
 
-    rows_with_labels: iterable of (row, label); returns (selected rows,
-    labels, pair set).  The greedy scan order (pairs sorted, matrices in
-    lexicographic order, row index) makes the selection deterministic.
+    rows_with_labels: iterable of (row, label) with exact entries (ints,
+    Fractions or field elements); returns (selected rows, labels).  Repeated
+    rows are skipped before elimination.  The greedy scan order (pairs
+    sorted, matrices in lexicographic order, row index) makes the selection
+    deterministic.
     """
     sym_dim = n * (n + 1) // 2
-    echelon = []  # normalized reduced rows
+    ech = Echelon()
     selected = []
     labels = []
     seen = set()
     for row, label in rows_with_labels:
-        key = tuple(tuple(sorted(x.coeffs.items())) for x in row)
-        if key in seen:
+        row = tuple(row)
+        if row in seen:
             continue
-        seen.add(key)
-        acc = list(row)
-        for erow in echelon:
-            piv = next(i for i, x in enumerate(erow) if not x.is_zero())
-            if not acc[piv].is_zero():
-                f = acc[piv]
-                acc = [a - f * b for a, b in zip(acc, erow)]
-        if all(x.is_zero() for x in acc):
+        seen.add(row)
+        if not ech.add(row):
             continue
-        piv = next(i for i, x in enumerate(acc) if not x.is_zero())
-        inv = acc[piv].inverse()
-        echelon.append(tuple(x * inv for x in acc))
-        selected.append(tuple(row))
+        selected.append(row)
         labels.append(label)
         if len(selected) == sym_dim:
             break
@@ -235,8 +227,6 @@ def select_generators(rows_with_labels, n, spec):
 def _rational_operator_rows(gamma, m, n):
     """Rows of the operator as plain rationals, for the common case of a
     rational scale (m a perfect n-th power)."""
-    from .arith import iroot
-
     root, exact = iroot(m, n)
     if not exact:
         raise DomainError("scale is not a perfect power")
@@ -255,34 +245,6 @@ def _rational_operator_rows(gamma, m, n):
             row.append(val)
         rows.append(tuple(row))
     return rows
-
-
-def _select_generators_rational(rows_with_labels, n):
-    """Greedy minimal independent row set over plain rationals."""
-    sym_dim = n * (n + 1) // 2
-    echelon = []
-    selected = []
-    labels = []
-    seen = set()
-    for row, label in rows_with_labels:
-        if row in seen:
-            continue
-        seen.add(row)
-        acc = list(Fraction(x) for x in row)
-        for erow, piv in echelon:
-            if acc[piv]:
-                f = acc[piv]
-                acc = [a - f * b for a, b in zip(acc, erow)]
-        if not any(acc):
-            continue
-        piv = next(i for i, x in enumerate(acc) if x)
-        inv = 1 / acc[piv]
-        echelon.append(([x * inv for x in acc], piv))
-        selected.append(tuple(row))
-        labels.append(label)
-        if len(selected) == sym_dim:
-            break
-    return selected, labels
 
 
 def intersect_kernels(contributions, n, spec=None):
@@ -309,7 +271,7 @@ def intersect_kernels(contributions, n, spec=None):
                 for ridx, row in enumerate(_rational_operator_rows(gamma, m, n)):
                     yield row, (label, gamma, ridx)
 
-        raw_selected, labels = _select_generators_rational(rational_stream(), n)
+        raw_selected, labels = select_generators(rational_stream(), n)
         selected = [
             tuple(spec.from_rational(x) for x in row) for row in raw_selected
         ]
@@ -320,7 +282,7 @@ def intersect_kernels(contributions, n, spec=None):
                 for ridx, row in enumerate(op.rows):
                     yield row, (label, gamma, ridx)
 
-        selected, labels = select_generators(row_stream(), n, spec)
+        selected, labels = select_generators(row_stream(), n)
     if not selected:
         return full_sym_subspace(n)
     sym_dim = n * (n + 1) // 2
@@ -455,9 +417,7 @@ def _project_coefficients(basis_vectors, target):
         for i in range(k)
     ]
     rhs = [sum(a * b for a, b in zip(basis_vectors[i], target)) for i in range(k)]
-    from .radicals import _solve_rational
-
-    sol = _solve_rational([row[:] for row in gram], rhs)
+    sol = solve(gram, rhs)
     if sol is None:
         raise InternalConsistencyError("gram matrix of a basis is singular")
     return sol
@@ -483,9 +443,7 @@ def _symbolic_positive_definite(entries, n):
 
     spec = _find_spec(entries)
     for k in range(1, n + 1):
-        minor = _field_det(
-            [[_as_el(spec, entries[i][j]) for j in range(k)] for i in range(k)], spec
-        )
+        minor = det([[_as_el(spec, entries[i][j]) for j in range(k)] for i in range(k)])
         if minor.sign() <= 0:
             return False
     return True
@@ -493,31 +451,6 @@ def _symbolic_positive_definite(entries, n):
 
 def _as_el(spec, x):
     return x if isinstance(x, FieldElement) else spec.from_rational(x)
-
-
-def _field_det(rows, spec):
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = spec.one()
-    sign = 1
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not m[i][k].is_zero():
-                piv = i
-                break
-        if piv is None:
-            return spec.zero()
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        det = det * m[k][k]
-        inv = m[k][k].inverse()
-        for i in range(k + 1, n):
-            if not m[i][k].is_zero():
-                f = m[i][k] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det if sign > 0 else -det
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +505,6 @@ def default_pairs(low, high, n, nu_values=None):
     return [(p, q, nu) for p in primes for q in primes for nu in nus]
 
 
-def interval_bounds(l_param, d_param):
-    """[L, 2 L^D] rounded to integers, exact for rational L and integer D."""
-    l_fr = Fraction(l_param)
-    if l_fr <= 2:
-        raise DomainError("L must exceed 2")
-    hi = 2 * l_fr ** int(d_param)
-    return math.ceil(l_fr), math.floor(hi)
-
-
 def exchange_step(
     q,
     l_param,
@@ -607,7 +531,7 @@ def exchange_step(
     if not region.contains_inner(q):
         raise PreconditionFailed("reference matrix lies outside the inner region")
     if pairs is None:
-        low, high = interval_bounds(l_param, d_param)
+        low, high = interval_of(l_param, d_param)
         pairs = default_pairs(low, high, n, nu_values)
     pairs = sorted(set(pairs))
 

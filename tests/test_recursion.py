@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from isocount.arith import interval_of
 from isocount.errors import DomainError
 from isocount.matrices import RationalSymMatrix
 from isocount.errors import ResourceBudgetError
@@ -9,7 +10,6 @@ from isocount.recursion import (
     PairCase,
     classify_pair,
     inner_chain,
-    interval_of,
     outer_chain,
     proposition_driver,
     target_is_integral,

@@ -10,6 +10,7 @@ from isocount.errors import (
     PreconditionFailed,
     ZeroKernel,
 )
+from isocount.arith import interval_of
 from isocount.matrices import IntegerMatrix, RationalSymMatrix, Region
 from isocount.xchg import (
     default_pairs,
@@ -17,7 +18,6 @@ from isocount.xchg import (
     find_q_prime,
     full_sym_subspace,
     intersect_kernels,
-    interval_bounds,
     pair_scalar_m,
     sym_to_vec,
     transfer_operator,
@@ -123,10 +123,16 @@ def test_pair_scalar():
 
 
 def test_interval_bounds():
-    assert interval_bounds(3, 1) == (3, 6)
-    assert interval_bounds(3, 2) == (3, 18)
+    assert interval_of(3, 1) == (3, 6)
+    assert interval_of(3, 2) == (3, 18)
     with pytest.raises(DomainError):
-        interval_bounds(2, 1)
+        interval_of(2, 1)
+
+
+def test_fractional_d_window_matches_the_chain():
+    # [3, floor(2 * 3^(3/2))] = [3, 10], not the truncated [3, 2 * 3^1]
+    rep = exchange_step(I2, 3, Fraction(3, 2), nu_values=[1])
+    assert {p for p, _, _ in rep.pair_set} == {3, 5, 7}
 
 
 def test_find_q_prime_full_space_prefers_reference():
