@@ -33,7 +33,9 @@ def is_floor_root(x, t, v):
 
 
 def is_ceil_root(x, t, v):
-    return (x - 1) ** v < t <= x ** v
+    # x is the least non-negative integer with t <= x^v; at x = 0 there is no
+    # smaller candidate ((-1)^v is not one), so only t <= 0 is asked
+    return (x == 0 or (x - 1) ** v < t) and t <= x ** v
 
 
 def test_large_powers_return_at_once():
