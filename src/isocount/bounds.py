@@ -249,8 +249,11 @@ def basic_estimate(inv_c_norm, l0, big_m, p_size, counts, n, level=1, eps=Fracti
     The diagonal term is invc^2/|P|; the spectral term carries the
     (invc^2)^(-1/(n(n-1))) loss against L0^(n^3+M/2); the counting term
     sums the per-pair bounds against L0^(nu(n-1)).  Values are reported as
-    floats with the exponent bookkeeping done on the exact inputs.
+    floats with the exponent bookkeeping done on the exact inputs; a term
+    beyond the float range is a DomainError.
     """
+    if n < 2:
+        raise DomainError("need n >= 2")
     if p_size < 1:
         raise DomainError("the amplifier needs at least one prime")
     inv_c_norm = Fraction(inv_c_norm)
@@ -260,16 +263,21 @@ def basic_estimate(inv_c_norm, l0, big_m, p_size, counts, n, level=1, eps=Fracti
     if l0 <= 1:
         raise DomainError("L0 must exceed 1")
     big_m = Fraction(big_m)
-    invc2 = float(inv_c_norm) ** 2
-    term1 = invc2 / p_size
-    term2 = invc2 * float(inv_c_norm) ** float(-2 * Fraction(1, n * (n - 1))) * float(
-        l0
-    ) ** float(n ** 3 + big_m / 2)
-    term3_sum = 0.0
-    for (nu, p, q), cnt in sorted(counts.items()):
-        term3_sum += float(cnt) / float(l0) ** (nu * (n - 1))
-    term3 = invc2 * term3_sum / p_size ** 2
-    total = term1 + term2 + term3
+    try:
+        invc2 = float(inv_c_norm) ** 2
+        term1 = invc2 / p_size
+        term2 = invc2 * float(inv_c_norm) ** float(-2 * Fraction(1, n * (n - 1))) * float(
+            l0
+        ) ** float(n ** 3 + big_m / 2)
+        term3_sum = 0.0
+        for (nu, p, q), cnt in sorted(counts.items()):
+            term3_sum += float(cnt) / float(l0) ** (nu * (n - 1))
+        term3 = invc2 * term3_sum / p_size ** 2
+        total = term1 + term2 + term3
+    except (OverflowError, ZeroDivisionError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError("a term of the bound leaves the float range")
     named = {"diagonal": term1, "spectral": term2, "counting": term3}
     dominant = max(sorted(named), key=lambda k: named[k])
     achieved = None

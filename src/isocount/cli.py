@@ -1,19 +1,18 @@
 """Command-line front end.
 
-Subcommands: count, detdiv, qgood, exchange, chain, delta, bound, verify,
-bench.  Results go to stdout (or --out); diagnostics to stderr.  Exit
+Subcommands: count, detdiv, qgood, exchange, chain, delta, bound, verify.
+Results go to stdout (or --out); diagnostics to stderr.  Exit
 codes: 0 success, 1 domain/usage error, 2 resource or budget error.
 """
 
 import argparse
 import os
 import sys
-import time
 
-from .bounds import SpectralParameters, basic_estimate, delta_calculator
+from .bounds import SpectralParameters, basic_estimate, c_function_norm, delta_calculator
 from .enumeration import CountingInstance, enum_S
 from .errors import DomainError, IsocountError, ResourceBudgetError
-from .matrices import RationalSymMatrix, determinantal_divisors
+from .matrices import determinantal_divisors
 from .primes import good_prime_set, residue_system
 from .recursion import proposition_driver
 from .serialize import (
@@ -98,10 +97,6 @@ def build_parser():
     p = sub.add_parser("verify", help="run the seeded property suite")
     p.add_argument("--module", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("bench", help="benchmark the enumeration core (CSV)")
-    p.add_argument("--suite", default="enum", choices=["enum"])
     p.add_argument("--out", default=None)
     return parser
 
@@ -221,26 +216,49 @@ def cmd_delta(args):
     _emit(res.to_json(), args.out)
 
 
-def cmd_bound(args):
-    mu_obj = read_json(args.mu)
-    params = SpectralParameters(tuple(fraction_from_str(x) for x in mu_obj["mu"]))
-    from .bounds import c_function_norm
+def _json_object(path, what):
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise DomainError("the %s file must hold a JSON object" % what)
+    return obj
 
-    data = read_json(args.counts)
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise DomainError("%s must be a JSON list" % what)
+    return value
+
+
+def _json_int(value, what):
+    x = fraction_from_str(value)
+    if x.denominator != 1:
+        raise DomainError("%s must be an integer, got %s" % (what, x))
+    return int(x)
+
+
+def cmd_bound(args):
+    mu = _json_list(_json_object(args.mu, "mu").get("mu"), "mu")
+    params = SpectralParameters(tuple(fraction_from_str(x) for x in mu))
+    data = _json_object(args.counts, "counts")
     inv_c = (
         fraction_from_str(data["inv_c_norm"])
         if "inv_c_norm" in data
         else c_function_norm(params.mu)
     )
-    counts = {(int(nu), int(p), int(q)): int(c) for nu, p, q, c in data.get("counts", [])}
+    counts = {}
+    for row in _json_list(data.get("counts", []), "counts"):
+        if not isinstance(row, list) or len(row) != 4:
+            raise DomainError("a counts row is [nu, p, q, count], got %r" % (row,))
+        nu, p, q, c = (_json_int(x, "a counts entry") for x in row)
+        counts[(nu, p, q)] = c
     rep = basic_estimate(
         inv_c,
         fraction_from_str(data["l0"]),
         fraction_from_str(data["m"]),
-        int(data["p_size"]),
+        _json_int(data["p_size"], "p_size"),
         counts,
         params.n,
-        level=int(data.get("level", 1)),
+        level=_json_int(data.get("level", 1), "level"),
     )
     _emit(rep.to_json(), args.out)
 
@@ -263,44 +281,6 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-def cmd_bench(args):
-    i3 = RationalSymMatrix.identity(3)
-    i2 = RationalSymMatrix.identity(2)
-    rows = ["instance,count,nodes,seconds,nodes_per_sec,prune_pairwise,prune_minor,prune_ratio"]
-    suite = [
-        ("I2,a=1,b=1", CountingInstance(i2, 1, 1)),
-        ("I3,a=3,b=3", CountingInstance(i3, 3, 3)),
-        ("I3,a=5,b=5", CountingInstance(i3, 5, 5)),
-        ("I3,a=27,b=27", CountingInstance(i3, 27, 27)),
-        ("I3,a=125,b=125", CountingInstance(i3, 125, 125)),
-    ]
-    for name, inst in suite:
-        t0 = time.time()
-        ss = enum_S(inst)
-        dt = max(time.time() - t0, 1e-9)
-        pruned = ss.stats["prunes"]["pairwise"] + ss.stats["prunes"]["minor"]
-        ratio = pruned / max(1, pruned + ss.stats["nodes"])
-        rows.append(
-            "%s,%d,%d,%.3f,%.0f,%d,%d,%.3f"
-            % (
-                name,
-                ss.count,
-                ss.stats["nodes"],
-                dt,
-                ss.stats["nodes"] / dt,
-                ss.stats["prunes"]["pairwise"],
-                ss.stats["prunes"]["minor"],
-                ratio,
-            )
-        )
-    text = "\n".join(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
 COMMANDS = {
     "count": cmd_count,
     "detdiv": cmd_detdiv,
@@ -310,7 +290,6 @@ COMMANDS = {
     "delta": cmd_delta,
     "bound": cmd_bound,
     "verify": cmd_verify,
-    "bench": cmd_bench,
 }
 
 

@@ -29,7 +29,6 @@ from .intervals import (
 )
 from .matrices import (
     IntegerMatrix,
-    RationalSymMatrix,
     determinantal_divisor_oracle,
     determinantal_divisors,
 )
@@ -104,14 +103,6 @@ class SymbolicSymMatrix:
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
-
-    def is_rational(self):
-        return all(e.is_rational() for row in self.entries for e in row)
-
-    def to_rational(self):
-        return RationalSymMatrix(
-            [[e.rational_value() for e in row] for row in self.entries]
-        )
 
 
 @dataclass(frozen=True)
@@ -587,12 +578,15 @@ def _chunk_worker(args):
 def _parallel_enum(instance, order, cand, budget, prune, workers, stats):
     """Partition the first enumerated column across processes; the merge is
     re-sorted by the caller, so the outcome is independent of worker count.
-    Each worker receives the full node budget."""
+    Each worker may spend what the walk left of the node budget, and the
+    merged node count is held to the budget, so the budget verdict does not
+    depend on the worker count either."""
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = _split_chunks(cand[order[0]], workers)
     other = [cand[j] for j in order[1:]]
-    jobs = [(instance, order, chunk, other, budget, prune) for chunk in chunks]
+    left = budget - stats["nodes"]
+    jobs = [(instance, order, chunk, other, left, prune) for chunk in chunks]
     solutions = []
     with ProcessPoolExecutor(max_workers=workers) as ex:
         for rows_list, wstats in ex.map(_chunk_worker, jobs):
@@ -600,6 +594,8 @@ def _parallel_enum(instance, order, cand, budget, prune, workers, stats):
             stats["nodes"] += wstats["nodes"]
             for k in stats["prunes"]:
                 stats["prunes"][k] += wstats["prunes"][k]
+    if stats["nodes"] > budget:
+        raise ResourceBudgetError("matrix enumeration budget exhausted")
     return solutions
 
 

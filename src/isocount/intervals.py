@@ -54,10 +54,6 @@ def iv_pow_fraction(x, e):
     return iv.exp(iv.log(iv_fraction(x)) * iv.mpf(e.numerator) / iv.mpf(e.denominator))
 
 
-def contains_zero(x):
-    return x.a <= 0 <= x.b
-
-
 def certified_sign(make_interval, is_zero=None, start=START_PREC, cap=PREC_CAP):
     """Sign of a real given an interval builder and an optional exact zero test.
 

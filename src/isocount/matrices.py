@@ -71,12 +71,6 @@ class IntegerMatrix:
     def columns(self):
         return tuple(self.column(j) for j in range(self.n))
 
-    def transpose(self):
-        return IntegerMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)],
-            max_dim=self.n,
-        )
-
     def matmul(self, other):
         n = self.n
         a, b = self.rows, other.rows
@@ -96,9 +90,6 @@ class IntegerMatrix:
         for x in self.flat():
             g = math.gcd(g, abs(x))
         return g
-
-    def max_abs(self):
-        return max(abs(x) for x in self.flat())
 
 
 def _int_det(rows):
@@ -361,7 +352,7 @@ class RationalSymMatrix:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise DomainError("matrix is not symmetric")
-        _ldl(rows)
+        ldl(rows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_den", None)
@@ -434,16 +425,6 @@ class RationalSymMatrix:
                 acc += xi * sum(row[j] * y[j] for j in range(n))
         return acc
 
-    def congruence_by(self, gamma):
-        """gamma^T Q gamma as a list-of-lists of Fractions."""
-        n = self.n
-        g = gamma.rows
-        qg = [[sum(self.entries[i][k] * g[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        return [
-            [sum(g[k][i] * qg[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
     def ldl(self):
         """Exact Q = U^T diag(d) U with U unit upper triangular.
 
@@ -451,7 +432,7 @@ class RationalSymMatrix:
         upper triangular list-of-lists with unit diagonal; used by the
         lattice enumeration to complete squares.
         """
-        return _ldl(self.entries)
+        return ldl(self.entries)
 
     def lambda_min_lower_bound(self):
         """Certified rational lower bound on the smallest eigenvalue.
@@ -464,9 +445,10 @@ class RationalSymMatrix:
         return d / tr ** (self.n - 1)
 
 
-def _ldl(rows):
+def ldl(rows):
     """(d, u) with rows = U^T diag(d) U and U unit upper triangular, for a
-    symmetric positive definite matrix; DomainError for any other."""
+    symmetric positive definite matrix over an exact ordered field (Fractions
+    or real radical-field elements); DomainError for any other."""
     ech = Echelon()
     for row in rows:
         ech.add(row)

@@ -110,6 +110,18 @@ class RadicalFieldSpec:
         e0 = (0,) * len(self.primes)
         return FieldElement(self, {e0: x})
 
+    def coerce(self, x):
+        """x as an element of this field.  Rationals, and rational elements
+        of another spec, convert; an irrational element of another spec is
+        a DomainError."""
+        if isinstance(x, FieldElement):
+            if x.spec == self:
+                return x
+            if not x.is_rational():
+                raise DomainError("mixed field specs in one vector family")
+            x = x.rational_value()
+        return self.from_rational(x)
+
     def root_of(self, radicand):
         """The real positive n-th root of a positive rational, as an element."""
         return self.power_root(radicand, 1)
@@ -580,16 +592,8 @@ def _moduli_within_exact(el, alpha, bound):
 # exact linear algebra over the field
 
 
-def _as_element(spec, x):
-    if isinstance(x, FieldElement):
-        if x.spec != spec and not x.is_rational():
-            raise DomainError("mixed field specs in one vector family")
-        return spec.from_rational(x.rational_value()) if x.spec != spec else x
-    return spec.from_rational(x)
-
-
 def coerce_vectors(spec, vectors):
-    return [tuple(_as_element(spec, x) for x in v) for v in vectors]
+    return [tuple(spec.coerce(x) for x in v) for v in vectors]
 
 
 def vec_dot(u, v):

@@ -109,6 +109,49 @@ def _level_subspace(cache, pairs, n):
     return intersect_kernels(contributions, n)
 
 
+def _stabilize(name, q, region, cache, pair_budget, level_pairs, rational_only=False):
+    """Levels j = 0, 1, ... until the kernel intersection stops shrinking.
+
+    level_pairs(j, levels) gives the window and the pair set of level j
+    from the levels built so far.  The dimension sequence must be weakly
+    decreasing, the containment at the stabilization step is verified
+    exactly, and the level count is bounded by the symmetric dimension plus
+    one.
+    """
+    n = q.n
+    levels = []
+    for j in range(n * (n + 1) // 2 + 1):
+        window, pairs = level_pairs(j, levels)
+        if len(pairs) > pair_budget:
+            raise ResourceBudgetError(
+                "%s level %d holds %d pairs (budget %d)" % (name, j, len(pairs), pair_budget)
+            )
+        sub = _level_subspace(cache, pairs, n)
+        kspec = replacement_field(sub)
+        if rational_only and not kspec.is_rational:
+            raise DomainError("%s chain produced an irrational field" % name)
+        qp = find_q_prime(sub, region, q)
+        prev = levels[-1].subspace if levels else None
+        if prev is not None and sub.dim > prev.dim:
+            raise DomainError("%s chain dimension increased; pair sets not nested" % name)
+        stable = prev is not None and sub.dim == prev.dim
+        if stable and not prev.contains_subspace(sub):
+            raise DomainError("%s stabilized level is not contained in its predecessor" % name)
+        levels.append(
+            ChainLevel(
+                j=j,
+                interval=window,
+                pairs=tuple(pairs),
+                subspace=sub,
+                q_matrix=qp,
+                field_rational=kspec.is_rational,
+            )
+        )
+        if stable:
+            return ChainResult(levels=levels, stabilization=j - 1)
+    raise DomainError("%s chain failed to stabilize before the pigeonhole bound" % name)
+
+
 def outer_chain(
     q,
     l_param,
@@ -122,51 +165,20 @@ def outer_chain(
     cache=None,
     pair_budget=20000,
 ):
-    """Chain of kernel intersections over the growing intervals.
-
-    Stops at the first level whose subspace equals the previous one; the
-    dimension sequence is weakly decreasing, the containment at the
-    stabilization step is verified exactly, and the level count is bounded
-    by the symmetric dimension plus one.
-    """
+    """Chain of kernel intersections over the growing intervals
+    [L, 2 L^(D1^j D2^(j+1))]; stops at the first level whose subspace
+    equals the previous one."""
     n = q.n
     if region is None:
         region = Region.box_around(q, Fraction(1, 4))
     cache = cache or _EnumCache(q, big_m, budget, workers)
-    sym_dim = n * (n + 1) // 2
     d1, d2 = Fraction(d1), Fraction(d2)
-    levels = []
-    prev = None
-    for j in range(sym_dim + 1):
-        expo = d1 ** j * d2 ** (j + 1)
-        lo, hi = interval_of(l_param, expo)
-        pairs = tuple(default_pairs(lo, hi, n, nu_values))
-        if len(pairs) > pair_budget:
-            raise ResourceBudgetError(
-                "outer level %d holds %d pairs (budget %d)" % (j, len(pairs), pair_budget)
-            )
-        sub = _level_subspace(cache, pairs, n)
-        kspec = replacement_field(sub)
-        qp = find_q_prime(sub, region, q)
-        levels.append(
-            ChainLevel(
-                j=j,
-                interval=(lo, hi),
-                pairs=pairs,
-                subspace=sub,
-                q_matrix=qp,
-                field_rational=kspec.is_rational,
-            )
-        )
-        if prev is not None:
-            if sub.dim > prev.dim:
-                raise DomainError("chain dimension increased; pair sets not nested")
-            if sub.dim == prev.dim:
-                if not prev.subspace.contains_subspace(sub):
-                    raise DomainError("stabilized level is not contained in its predecessor")
-                return ChainResult(levels=levels, stabilization=j - 1)
-        prev = levels[-1]
-    raise DomainError("no stabilization before the pigeonhole bound; kernel hit zero?")
+
+    def level_pairs(j, levels):
+        window = interval_of(l_param, d1 ** j * d2 ** (j + 1))
+        return window, default_pairs(*window, n, nu_values)
+
+    return _stabilize("outer", q, region, cache, pair_budget, level_pairs)
 
 
 def inner_chain(
@@ -192,76 +204,41 @@ def inner_chain(
     if region is None:
         region = Region.box_around(q, Fraction(1, 4))
     cache = cache or _EnumCache(q, big_m, budget, workers)
-    sym_dim = n * (n + 1) // 2
     d1 = Fraction(d1)
     nus = list(nu_values) if nu_values else list(range(1, n + 1))
-    levels = []
     filter_history = []
-    prev = None
-    pair_pool = []
-    for j in range(sym_dim + 1):
+
+    def level_pairs(j, levels):
         if j == 0:
-            lo, hi = interval_of(l_cal, Fraction(1))
-            fresh = [
-                (p, qq, nu)
-                for p in primes_in_range(lo, hi)
-                for qq in primes_in_range(lo, hi)
-                for nu in nus
-                if target_is_integral(p, qq, nu, n)
-            ]
-            filter_history.append({"level": 0, "window": (lo, hi), "good_filter": None,
-                                   "fresh_pairs": len(fresh)})
+            window = interval_of(l_cal, Fraction(1))
+            primes = primes_in_range(*window)
+            entry = {"level": 0, "window": window, "good_filter": None}
         else:
-            prev_q = levels[-1].q_matrix.as_rational_matrix()
-            system = residue_system(prev_q)
-            wlo, whi = _tilde_window(l_cal, d1, j)
-            good = good_prime_set(system, wlo, whi)
-            fresh = [
-                (p, qq, nu)
-                for p in good
-                for qq in good
-                for nu in nus
-                if target_is_integral(p, qq, nu, n)
-            ]
-            filter_history.append(
-                {
-                    "level": j,
-                    "window": (wlo, whi),
-                    "good_filter": {"modulus": system.modulus,
-                                    "allowed": sorted(system.allowed)},
-                    "good_primes": good,
-                    "fresh_pairs": len(fresh),
-                }
-            )
-        pair_pool = sorted(set(pair_pool) | set(fresh))
-        if len(pair_pool) > pair_budget:
-            raise ResourceBudgetError(
-                "inner level %d holds %d pairs (budget %d)" % (j, len(pair_pool), pair_budget)
-            )
-        sub = _level_subspace(cache, pair_pool, n)
-        kspec = replacement_field(sub)
-        if not kspec.is_rational:
-            raise DomainError("inner chain produced an irrational field")
-        qp = find_q_prime(sub, region, q)
-        levels.append(
-            ChainLevel(
-                j=j,
-                interval=filter_history[-1]["window"],
-                pairs=tuple(pair_pool),
-                subspace=sub,
-                q_matrix=qp,
-                field_rational=True,
-            )
-        )
-        if prev is not None:
-            if sub.dim > prev.dim:
-                raise DomainError("inner chain dimension increased")
-            if sub.dim == prev.dim:
-                if not prev.subspace.contains_subspace(sub):
-                    raise DomainError("inner stabilization containment fails")
-                return ChainResult(levels=levels, stabilization=j - 1), filter_history
-        prev = levels[-1]
-    raise DomainError("inner chain failed to stabilize before the pigeonhole bound")
+            system = residue_system(levels[-1].q_matrix.as_rational_matrix())
+            window = _tilde_window(l_cal, d1, j)
+            primes = good_prime_set(system, *window)
+            entry = {
+                "level": j,
+                "window": window,
+                "good_filter": {"modulus": system.modulus,
+                                "allowed": sorted(system.allowed)},
+                "good_primes": primes,
+            }
+        fresh = [
+            (p, qq, nu)
+            for p in primes
+            for qq in primes
+            for nu in nus
+            if target_is_integral(p, qq, nu, n)
+        ]
+        entry["fresh_pairs"] = len(fresh)
+        filter_history.append(entry)
+        pool = set(levels[-1].pairs) if levels else set()
+        return window, sorted(pool | set(fresh))
+
+    chain = _stabilize("inner", q, region, cache, pair_budget, level_pairs,
+                       rational_only=True)
+    return chain, filter_history
 
 
 def _tilde_window(l_cal, d1, j):

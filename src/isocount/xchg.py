@@ -27,10 +27,11 @@ from .errors import (
     PreconditionFailed,
     ZeroKernel,
 )
-from .matrices import Echelon, IntegerMatrix, RationalSymMatrix, Region, det, solve
+from .matrices import Echelon, IntegerMatrix, RationalSymMatrix, Region, ldl, solve
 from .radicals import (
     FieldElement,
     RadicalFieldSpec,
+    coerce_vectors,
     gram_schmidt,
     kernel_basis_bounded,
     vec_dot,
@@ -77,8 +78,7 @@ class TransferOperator:
     def apply(self, sym_entries):
         """Image of a symmetric matrix, computed through the stored rows."""
         n = self.n
-        vec = sym_to_vec(sym_entries, n)
-        vec = [x if isinstance(x, FieldElement) else self.spec.from_rational(x) for x in vec]
+        vec = [self.spec.coerce(x) for x in sym_to_vec(sym_entries, n)]
         out = [vec_dot(row, vec) for row in self.rows]
         return vec_to_sym(out, n)
 
@@ -86,13 +86,7 @@ class TransferOperator:
         """gamma^T Q gamma - m^(1/n) Q evaluated entrywise (spot-check path)."""
         n = self.n
         g = self.gamma.rows
-        q = [
-            [
-                x if isinstance(x, FieldElement) else self.spec.from_rational(x)
-                for x in row
-            ]
-            for row in sym_entries
-        ]
+        q = [[self.spec.coerce(x) for x in row] for row in sym_entries]
         qg = [[_dotcol(q[i], g, j, n) for j in range(n)] for i in range(n)]
         conj = [
             [_dotrow(g, qg, i, j, n) for j in range(n)]
@@ -122,32 +116,43 @@ def _dotrow(g, qg, i, j, n):
     return acc if acc is not None else qg[0][j] * 0
 
 
-def transfer_operator(gamma, m, spec=None):
-    """Exact operator matrix; the scalar m^(1/n) collapses to a rational when
-    m is a perfect n-th power."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    n = gamma.n
-    if spec is None:
-        if scalar_root_is_rational(m, n):
-            spec = RadicalFieldSpec(n, ())
-        else:
-            spec = RadicalFieldSpec(n, [m])
-    scalar = spec.power_root(m, 1)
-    pairs = sym_index_pairs(n)
+def _scale_root(m, n, spec):
+    """m^(1/n): an int when m is a perfect n-th power, else an element of spec."""
+    root, exact = iroot(m, n)
+    return root if exact else spec.power_root(m, 1)
+
+
+def _operator_rows(gamma, scalar):
+    """Rows of Q -> gamma^T Q gamma - scalar Q on the symmetric basis: ints
+    off the diagonal, val - scalar on it.  Column (k, l) is the image of the
+    basis matrix E_kl + E_lk (E_kk on the diagonal)."""
+    pairs = sym_index_pairs(gamma.n)
     g = gamma.rows
-    rows = [[None] * len(pairs) for _ in pairs]
-    for col, (k, l) in enumerate(pairs):
-        # image of the basis matrix B_kl (E_kl + E_lk off-diagonal, E_kk diagonal)
-        for rix, (i, j) in enumerate(pairs):
+    rows = []
+    for rix, (i, j) in enumerate(pairs):
+        row = []
+        for col, (k, l) in enumerate(pairs):
             if k == l:
                 val = g[k][i] * g[k][j]
             else:
                 val = g[k][i] * g[l][j] + g[l][i] * g[k][j]
-            rows[rix][col] = spec.from_rational(val)
-    for d, (i, j) in enumerate(pairs):
-        rows[d][d] = rows[d][d] - scalar
-    rows = tuple(tuple(r) for r in rows)
+            row.append(val - scalar if col == rix else val)
+        rows.append(tuple(row))
+    return rows
+
+
+def transfer_operator(gamma, m, spec=None):
+    """Exact operator matrix over spec (by default Q(m^(1/n)), which is Q
+    when m is a perfect n-th power)."""
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    n = gamma.n
+    if spec is None:
+        spec = RadicalFieldSpec(n, () if scalar_root_is_rational(m, n) else [m])
+    scalar = spec.coerce(_scale_root(m, n, spec))
+    rows = tuple(
+        tuple(spec.coerce(x) for x in row) for row in _operator_rows(gamma, scalar)
+    )
     return TransferOperator(gamma=gamma, m=m, spec=spec, scalar=scalar, rows=rows)
 
 
@@ -171,10 +176,7 @@ class SymSubspace:
         return self.n * (self.n + 1) // 2
 
     def annihilates(self, vec):
-        vec = [
-            x if isinstance(x, FieldElement) else self.spec.from_rational(x)
-            for x in vec
-        ]
+        vec = [self.spec.coerce(x) for x in vec]
         return all(vec_dot(row, vec).is_zero() for row in self.generator_rows)
 
     def contains_subspace(self, other):
@@ -224,36 +226,15 @@ def select_generators(rows_with_labels, n):
     return selected, labels
 
 
-def _rational_operator_rows(gamma, m, n):
-    """Rows of the operator as plain rationals, for the common case of a
-    rational scale (m a perfect n-th power)."""
-    root, exact = iroot(m, n)
-    if not exact:
-        raise DomainError("scale is not a perfect power")
-    pairs = sym_index_pairs(n)
-    g = gamma.rows
-    rows = []
-    for rix, (i, j) in enumerate(pairs):
-        row = []
-        for col, (k, l) in enumerate(pairs):
-            if k == l:
-                val = g[k][i] * g[k][j]
-            else:
-                val = g[k][i] * g[l][j] + g[l][i] * g[k][j]
-            if col == rix:
-                val -= root
-            row.append(val)
-        rows.append(tuple(row))
-    return rows
-
-
 def intersect_kernels(contributions, n, spec=None):
     """Kernel intersection of the operators attached to (gamma, m) pairs.
 
     contributions: iterable of (gamma, m, label); empty input returns the
     full symmetric space.  Operators are stacked row by row and a minimal
     generating set is kept; the kernel basis is integral and each basis
-    vector is re-verified against every selected generator.
+    vector is re-verified against every selected generator.  Rows stay ints
+    wherever the scale m^(1/n) is rational, so the elimination runs on plain
+    rationals until an irrational scale enters.
     """
     contributions = list(contributions)
     if not contributions:
@@ -265,24 +246,14 @@ def intersect_kernels(contributions, n, spec=None):
                 rad.append(m)
         spec = RadicalFieldSpec(n, rad)
 
-    if spec.is_rational:
-        def rational_stream():
-            for gamma, m, label in contributions:
-                for ridx, row in enumerate(_rational_operator_rows(gamma, m, n)):
-                    yield row, (label, gamma, ridx)
+    def row_stream():
+        for gamma, m, label in contributions:
+            rows = _operator_rows(gamma, _scale_root(m, n, spec))
+            for ridx, row in enumerate(rows):
+                yield row, (label, gamma, ridx)
 
-        raw_selected, labels = select_generators(rational_stream(), n)
-        selected = [
-            tuple(spec.from_rational(x) for x in row) for row in raw_selected
-        ]
-    else:
-        def row_stream():
-            for gamma, m, label in contributions:
-                op = transfer_operator(gamma, m, spec=spec)
-                for ridx, row in enumerate(op.rows):
-                    yield row, (label, gamma, ridx)
-
-        selected, labels = select_generators(row_stream(), n)
+    selected, labels = select_generators(row_stream(), n)
+    selected = coerce_vectors(spec, selected)
     if not selected:
         return full_sym_subspace(n)
     sym_dim = n * (n + 1) // 2
@@ -339,14 +310,7 @@ class ReplacementMatrix:
         return RationalSymMatrix(self.entries)
 
     def as_symbolic(self, spec):
-        ents = [
-            [
-                e if isinstance(e, FieldElement) else spec.from_rational(e)
-                for e in row
-            ]
-            for row in self.entries
-        ]
-        return SymbolicSymMatrix(ents, spec)
+        return SymbolicSymMatrix(coerce_vectors(spec, self.entries), spec)
 
 
 def find_q_prime(subspace, region, reference_q, den_bound_log2=40):
@@ -397,10 +361,12 @@ def find_q_prime(subspace, region, reference_q, den_bound_log2=40):
         c = vec_dot(refv, w) / vec_dot(w, w)
         proj = [a + c * b for a, b in zip(proj, w)]
     entries = vec_to_sym(proj, n)
-    if not _region_contains_symbolic(region, entries):
+    if not region.box_contains_entries(entries):
         raise NoPointFound("exact projection leaves the region")
-    if not _symbolic_positive_definite(entries, n):
-        raise NoPointFound("exact projection is not positive definite")
+    try:
+        ldl(entries)
+    except DomainError:
+        raise NoPointFound("exact projection is not positive definite") from None
     return ReplacementMatrix(
         entries=tuple(tuple(r) for r in entries),
         rational=False,
@@ -421,36 +387,6 @@ def _project_coefficients(basis_vectors, target):
     if sol is None:
         raise InternalConsistencyError("gram matrix of a basis is singular")
     return sol
-
-
-def _region_contains_symbolic(region, entries):
-    n = region.n
-    for i in range(n):
-        for j in range(n):
-            e = entries[i][j]
-            lo, hi = region.lower[i][j], region.upper[i][j]
-            if isinstance(e, FieldElement):
-                if (e - lo).sign() < 0 or (e - hi).sign() > 0:
-                    return False
-            else:
-                if not lo <= e <= hi:
-                    return False
-    return True
-
-
-def _symbolic_positive_definite(entries, n):
-    from .radicals import _find_spec
-
-    spec = _find_spec(entries)
-    for k in range(1, n + 1):
-        minor = det([[_as_el(spec, entries[i][j]) for j in range(k)] for i in range(k)])
-        if minor.sign() <= 0:
-            return False
-    return True
-
-
-def _as_el(spec, x):
-    return x if isinstance(x, FieldElement) else spec.from_rational(x)
 
 
 # ---------------------------------------------------------------------------

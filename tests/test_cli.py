@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isocount.cli import main
 from isocount.serialize import dumps
@@ -156,6 +161,93 @@ def test_bound_cli(tmp_path, capsys):
     assert payload["dominant"] in {"diagonal", "spectral", "counting"}
 
 
+@pytest.mark.parametrize(
+    "mu, counts",
+    [
+        # L0^(n^3 + M/2) beyond the float range
+        (["1", "0", "-1"], {"l0": "1000000000000", "m": "4", "p_size": 3, "counts": []}),
+        # L0^(nu (n - 1)) beyond the float range
+        (["1", "0", "-1"], {"l0": "5", "m": "4", "p_size": 3, "counts": [[100000, 3, 5, 7]]}),
+        # fewer than two spectral parameters
+        ([], {"l0": "5", "m": "4", "p_size": 3, "counts": []}),
+        (["0"], {"l0": "5", "m": "4", "p_size": 3, "counts": []}),
+        # a counts file that is not a JSON object
+        (["1", "-1"], [1, 2, 3]),
+    ],
+)
+def test_bound_cli_rejects_out_of_range_input(tmp_path, capsys, mu, counts):
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text(dumps({"mu": mu}))
+    counts_path = tmp_path / "counts.json"
+    counts_path.write_text(dumps(counts))
+    rc, out, err = run_cli(
+        ["bound", "--mu", str(mu_path), "--counts", str(counts_path)], capsys
+    )
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+extreme_ints = st.one_of(
+    st.integers(2, 10),
+    st.sampled_from([10 ** 6, 10 ** 12, 10 ** 100, 10 ** 308, 10 ** 309, 10 ** 400]),
+)
+rational_texts = st.one_of(
+    extreme_ints.map(str),
+    st.builds("{}/{}".format, extreme_ints, st.integers(1, 10 ** 30)),
+)
+json_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 1), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+def mostly(good):
+    """good nine times in ten, malformed or out-of-range JSON otherwise."""
+    return st.sampled_from(range(10)).flatmap(lambda k: json_junk if k == 9 else good)
+
+
+@st.composite
+def mu_files(draw):
+    n = draw(st.sampled_from([0, 1, 2, 3, 3, 4]))
+    mu = [draw(extreme_ints) * draw(st.sampled_from([-1, 1])) for _ in range(n)]
+    if mu and draw(st.sampled_from(range(10))) < 9:
+        mu[-1] -= sum(mu)  # spectral parameters sum to zero
+    return draw(mostly(st.just({"mu": draw(mostly(st.just([str(x) for x in mu])))})))
+
+
+@st.composite
+def counts_files(draw):
+    row = mostly(st.lists(mostly(extreme_ints), min_size=4, max_size=4))
+    out = {
+        "l0": draw(mostly(rational_texts)),
+        "m": draw(mostly(rational_texts)),
+        "p_size": draw(mostly(extreme_ints)),
+        "counts": draw(mostly(st.lists(row, max_size=3))),
+    }
+    if draw(st.booleans()):
+        out["inv_c_norm"] = draw(mostly(rational_texts))
+    if draw(st.booleans()):
+        out["level"] = draw(mostly(extreme_ints))
+    return draw(mostly(st.just(out)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=mu_files(), counts=counts_files())
+def test_bound_cli_exit_code_on_extreme_input(mu, counts):
+    with tempfile.TemporaryDirectory() as tmp:
+        mu_path = os.path.join(tmp, "mu.json")
+        counts_path = os.path.join(tmp, "counts.json")
+        for path, obj in ((mu_path, mu), (counts_path, counts)):
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["bound", "--mu", mu_path, "--counts", counts_path])
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().startswith(("error: ", "resource error: "))
+
+
 def test_exchange_cli(tmp_path, capsys):
     q = tmp_path / "q.json"
     q.write_text(dumps({"schema": 1, "n": 2, "entries": [["1", "0"], ["0", "1"]]}))
@@ -188,14 +280,6 @@ def test_verify_cli(capsys):
     assert "PASS bounds" in err
     payload = json.loads(out)
     assert payload["failed"] == 0
-
-
-def test_bench_cli(capsys):
-    rc, out, _ = run_cli(["bench", "--suite", "enum"], capsys)
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("instance,count,nodes")
-    assert len(lines) >= 4
 
 
 def test_output_determinism(identity3_file, capsys):

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from isocount.matrices import Echelon, _int_det, det, solve
+from isocount.errors import DomainError
+from isocount.matrices import Echelon, _int_det, det, ldl, solve
 from isocount.radicals import FieldElement, RadicalFieldSpec
 
 K = RadicalFieldSpec(2, (2, 3))
+K3 = RadicalFieldSpec(3, [2])
 MONOMIALS = K.monomials()
 
 fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -162,3 +164,42 @@ def test_field_zero_is_falsy():
     assert bool(K.zero()) is False
     assert bool(K.one()) is True
     assert bool(K.root_of(2) - K.root_of(2)) is False
+
+
+def cubic_elements(lo, hi, r):
+    """a + b 2^(1/3) + c 2^(2/3) with lo <= a <= hi and |b|, |c| <= r."""
+    return st.tuples(st.integers(lo, hi), st.integers(-r, r), st.integers(-r, r)).map(
+        lambda t: K3.from_rational(t[0]) + K3.root_of(2) * t[1] + K3.root_of(4) * t[2]
+    )
+
+
+@st.composite
+def symmetric_cubic_matrices(draw):
+    n = draw(st.integers(2, 3))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        # diagonal leaning positive, so definite and indefinite both occur
+        rows[i][i] = draw(cubic_elements(-1, 8, 2))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(cubic_elements(-1, 1, 1))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_cubic_matrices())
+def test_ldl_is_sylvester_over_a_cubic_field(rows):
+    n = len(rows)
+    definite = all(
+        leibniz([r[:k] for r in rows[:k]]).sign() == 1 for k in range(1, n + 1)
+    )
+    try:
+        d, u = ldl(rows)
+    except DomainError:
+        assert not definite
+        return
+    assert definite
+    # rows = U^T diag(d) U
+    for i in range(n):
+        for j in range(n):
+            entry = sum((u[k][i] * d[k] * u[k][j] for k in range(n)), K3.zero())
+            assert entry == rows[i][j]

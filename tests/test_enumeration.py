@@ -155,6 +155,18 @@ def test_enum_S_budget_error():
         enum_S(CountingInstance(I3, 27, 27), budget=50)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_enum_S_budget_verdict_independent_of_workers(workers):
+    # the whole search on I3, a = b = 27 visits 12120 nodes however the
+    # first column is split, so the budget verdict must not move with it
+    inst = CountingInstance(I3, 27, 27)
+    for budget in (9000, 12119):
+        with pytest.raises(ResourceBudgetError):
+            enum_S(inst, budget=budget, workers=workers)
+    ss = enum_S(inst, budget=12120, workers=workers)
+    assert ss.count == 1728 and ss.stats["nodes"] == 12120
+
+
 def test_enum_S_finite_error_window():
     # with a generous error window the exact solutions remain included
     exact = enum_S(CountingInstance(I3, 3, 3))

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isocount.arith import iroot
 from isocount.enumeration import CountingInstance, count_S
 from isocount.errors import (
     DomainError,
@@ -11,7 +13,8 @@ from isocount.errors import (
     ZeroKernel,
 )
 from isocount.arith import interval_of
-from isocount.matrices import IntegerMatrix, RationalSymMatrix, Region
+from isocount.matrices import Echelon, IntegerMatrix, RationalSymMatrix, Region
+from isocount.radicals import RadicalFieldSpec
 from isocount.xchg import (
     default_pairs,
     exchange_step,
@@ -281,3 +284,60 @@ def test_membership_against_lifted_rational_symbolic_q():
         assert verify_membership(sym_inst, g)
     bad = IntegerMatrix.identity(3)
     assert not verify_membership(sym_inst, bad)
+
+
+# companion matrix C of x^3 - 2: through its real eigenvalue 2^(1/3), the
+# operator at the irrational scale 4^(1/3) has a nonzero kernel, spanned by
+# w w^T for the matching eigenvector w of C^T
+CUBIC_COMPANION = IntegerMatrix([[0, 0, 2], [1, 0, 0], [0, 1, 0]])
+
+
+@st.composite
+def contributions(draw):
+    """1-3 contributions of one family: c times a signed permutation (mostly
+    at its own scale c^(2n), whose kernel holds I), powers of the cubic
+    companion at their scales 4^k, or small random matrices."""
+    family = draw(st.sampled_from(["scaled", "companion", "random"]))
+    n = 3 if family == "companion" else draw(st.integers(2, 3))
+    out = []
+    for k in range(draw(st.integers(1, 3))):
+        if family == "companion":
+            power = draw(st.integers(1, 2))
+            gamma = CUBIC_COMPANION if power == 1 else CUBIC_COMPANION.matmul(CUBIC_COMPANION)
+            m = 4 ** power if draw(st.integers(0, 3)) else draw(st.sampled_from([1, 2, 8]))
+        elif family == "scaled":
+            c = draw(st.integers(1, 2))
+            perm = draw(st.permutations(range(n)))
+            signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+            gamma = IntegerMatrix(
+                [[c * signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+            )
+            m = c ** (2 * n) if draw(st.integers(0, 3)) else draw(st.sampled_from([2, 4, 8]))
+        else:
+            gamma = IntegerMatrix(
+                draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+            )
+            m = draw(st.sampled_from([1, 2, 4, 8, 16]))
+        out.append((gamma, m, ("c", k)))
+    return n, out
+
+
+@settings(max_examples=60, deadline=None)
+@given(contributions())
+def test_intersect_kernels_is_the_nullspace_of_the_stacked_operators(data):
+    n, contribs = data
+    sym_dim = n * (n + 1) // 2
+    spec = RadicalFieldSpec(n, [m for _, m, _ in contribs if not iroot(m, n)[1]])
+    ops = [transfer_operator(gamma, m, spec) for gamma, m, _ in contribs]
+    ech = Echelon()
+    rank = sum(ech.add(row) for op in ops for row in op.rows)
+    if rank == sym_dim:
+        with pytest.raises(ZeroKernel):
+            intersect_kernels(contribs, n)
+        return
+    sub = intersect_kernels(contribs, n)
+    assert sub.dim == sym_dim - rank
+    for op in ops:
+        for mat in sub.basis_matrices():
+            assert all(x.is_zero() for row in op.apply_direct(mat) for x in row)
