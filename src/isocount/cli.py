@@ -129,15 +129,15 @@ def _emit(obj, out_path):
 
 def _instance_from_json(obj, force_exact=False):
     q = rational_sym_matrix_from_json(obj["q"])
-    a = int(fraction_from_str(obj["a"]))
-    b = int(fraction_from_str(obj["b"]))
+    a = _json_int(obj["a"], "a")
+    b = _json_int(obj["b"], "b")
     big_m = None if force_exact else _parse_big_m(obj.get("m", "inf"))
     err = fraction_from_str(obj.get("error_constant", "1"))
     return CountingInstance(q, a=a, b=b, big_m=big_m, error_constant=err)
 
 
 def cmd_count(args):
-    inst = _instance_from_json(read_json(args.instance), force_exact=args.exact)
+    inst = _instance_from_json(_json_object(args.instance, "instance"), force_exact=args.exact)
     ss = enum_S(inst, budget=args.budget, workers=args.threads,
                 collect=args.emit_matrices is not None)
     result = {

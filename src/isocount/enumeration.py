@@ -9,8 +9,12 @@ mod-b minor congruence, and the search box.  Every emitted matrix is
 re-verified post hoc through an independent code path (gcd-of-minors
 determinantal divisors and direct bilinear evaluation).
 
-A numpy filtering fast path accelerates candidate reduction when all values
-provably fit in int64; survivors are always re-checked exactly.
+The search decides membership in integers only: once per instance,
+_entry_bounds turns each entry condition on gamma^T Q gamma into an integer
+window [lo_ij, hi_ij] for x^T den(Q)Q y (exact in every regime, certified
+floors for the radical thresholds).  Candidate filtering runs on numpy in
+every regime whenever one int64 bound, computed once from the candidate
+lists, holds, and falls back to Python integers otherwise.
 """
 
 import math
@@ -21,12 +25,6 @@ import numpy as np
 
 from .arith import iroot
 from .errors import DomainError, InternalConsistencyError, ResourceBudgetError
-from .intervals import (
-    fraction_lower_bound,
-    fraction_upper_bound,
-    iv_fraction,
-    precision,
-)
 from .matrices import (
     IntegerMatrix,
     determinantal_divisor_oracle,
@@ -78,13 +76,6 @@ class TargetScalar:
         d = fr ** self.n - self.s * self.s
         return (d > 0) - (d < 0)
 
-    def interval(self):
-        if self.rational is not None:
-            return iv_fraction(self.rational)
-        from mpmath import iv
-
-        return iv.exp(iv.log(iv_fraction(self.s * self.s)) / self.n)
-
     def as_field_element(self, spec):
         if self.rational is not None:
             return spec.from_rational(self.rational)
@@ -123,6 +114,8 @@ class CountingInstance:
     def __post_init__(self):
         if self.a < 1 or self.b < 1:
             raise DomainError("need a, b >= 1")
+        if self.q.n < 2:
+            raise DomainError("need n >= 2: the set is cut out by Delta_2 = b")
         if self.big_m is not None:
             object.__setattr__(self, "big_m", Fraction(self.big_m))
             if self.big_m <= 0:
@@ -391,24 +384,6 @@ class _Membership:
             return _lift(value, self.spec) if value.spec != self.spec else value
         return self.spec.from_rational(value)
 
-    def column_window(self, j):
-        """Outward rational window for y^T Q y of column j (candidate search)."""
-        inst = self.inst
-        if not self.is_sym and inst.exact and self.t.is_rational:
-            c = self.t.rational * inst.q[j, j]
-            return c, c
-        with precision(128):
-            if self.is_sym:
-                center = (self.t_el * self._q_el(j, j)).real_interval()
-            else:
-                center = self.t.interval() * iv_fraction(inst.q[j, j])
-            if inst.exact:
-                lo, hi = center, center
-            else:
-                thr = self.thr_el.real_interval()
-                lo, hi = center - thr, center + thr
-            return fraction_lower_bound(lo), fraction_upper_bound(hi)
-
 
 def _lift(el, spec):
     out = spec.zero()
@@ -467,6 +442,44 @@ def _bilinear(q, x, y):
 # the matrix set enumerator
 
 
+def _entry_bounds(instance):
+    """Integer windows [lo_ij, hi_ij], symmetric in (i, j): entry (i, j) of
+    gamma^T Q gamma is admissible iff lo_ij <= x^T den(Q)Q y <= hi_ij for the
+    columns x, y of gamma.  lo > hi is an empty window.
+
+    Exact regime: t * Qt_ij at both ends when t is rational; with t
+    irrational only Qt_ij = 0 admits a value (zero).  Error regime:
+    [ceil(den (t Q_ij - thr)), floor(den (t Q_ij + thr))] by certified
+    floors in the field of t and thr.
+    """
+    t = instance.target
+    qt = instance.q.tilde.rows
+    if not instance.exact:
+        expo = Fraction(2 - instance.big_m, instance.n)
+        spec = RadicalFieldSpec(lcm(instance.n, expo.denominator), [instance.s])
+        t_el = t.as_field_element(spec)
+        thr = spec.power_root(instance.s, int(expo * spec.degree))
+        thr = thr * (instance.error_constant * instance.q.den)
+
+        def window(v):
+            center = t_el * v
+            return -(thr - center).floor(), (center + thr).floor()
+
+    elif t.is_rational:
+        r = int(t.rational)
+
+        def window(v):
+            return r * v, r * v
+
+    else:
+
+        def window(v):
+            return (0, 0) if v == 0 else (1, 0)
+
+    win = {v: window(v) for v in {x for row in qt for x in row}}
+    return [[win[v] for v in row] for row in qt]
+
+
 def enum_S(
     instance,
     budget=DEFAULT_BUDGET,
@@ -482,13 +495,7 @@ def enum_S(
     (used by the pruning-soundness property test); the output set is
     identical, only statistics differ.
     """
-    stats = {
-        "count": 0,
-        "nodes": 0,
-        "short_circuit": None,
-        "prunes": {"pairwise": 0, "minor": 0, "delta": 0, "window": 0},
-        "candidates_per_column": [],
-    }
+    stats = _new_stats()
     t = instance.target
     n = instance.n
 
@@ -506,32 +513,27 @@ def enum_S(
     if isinstance(instance.q, SymbolicSymMatrix):
         raise DomainError("enumeration needs a rational Q; symbolic Q supports membership only")
 
-    mem = _Membership(instance)
+    bounds = _entry_bounds(instance)
+    den = instance.q.den
     counter = [0]
     cand = []
     for j in range(n):
-        lo, hi = mem.column_window(j)
-        vecs = _enum_window(instance.q, lo, hi, max_entry, budget, counter)
-        if not (instance.exact and t.is_rational):
-            vecs = [y for y in vecs if mem.entry_ok(instance.q.quadratic_value(y), j, j)]
-        cand.append(vecs)
+        lo, hi = bounds[j][j]
+        cand.append(
+            _enum_window(instance.q, Fraction(lo, den), Fraction(hi, den), max_entry, budget, counter)
+        )
     stats["nodes"] += counter[0]
     stats["candidates_per_column"] = [len(c) for c in cand]
 
     order = sorted(range(n), key=lambda j: (len(cand[j]), j))
     solutions = []
 
-    if (
-        workers > 1
-        and prune
-        and instance.exact
-        and t.is_rational
-        and len(cand[order[0]]) >= 4 * workers
-    ):
-        solutions = _parallel_enum(instance, order, cand, budget, prune, workers, stats)
+    if workers > 1 and prune and len(cand[order[0]]) >= 4 * workers:
+        solutions = _parallel_enum(instance, bounds, order, cand, budget, prune, workers, stats)
     else:
-        ctx = _SearchContext(instance, mem, stats, budget, prune)
-        ctx.dfs(order, 0, {}, [cand[j] for j in order], solutions)
+        cands = [cand[j] for j in order]
+        ctx = _SearchContext(instance, bounds, cands, stats, budget, prune)
+        ctx.dfs(order, 0, {}, cands, solutions)
 
     solutions.sort(key=lambda m: m.flat())
     for g in solutions:
@@ -553,6 +555,16 @@ def count_S(instance, **kwargs):
     return enum_S(instance, **kwargs).count
 
 
+def _new_stats():
+    return {
+        "count": 0,
+        "nodes": 0,
+        "short_circuit": None,
+        "prunes": {"pairwise": 0, "minor": 0, "delta": 0, "window": 0},
+        "candidates_per_column": [],
+    }
+
+
 def _split_chunks(items, k):
     k = max(1, min(k, len(items)))
     size = (len(items) + k - 1) // k
@@ -560,22 +572,15 @@ def _split_chunks(items, k):
 
 
 def _chunk_worker(args):
-    instance, order, chunk, other_cands, budget, prune = args
-    stats = {
-        "count": 0,
-        "nodes": 0,
-        "short_circuit": None,
-        "prunes": {"pairwise": 0, "minor": 0, "delta": 0, "window": 0},
-        "candidates_per_column": [],
-    }
-    mem = _Membership(instance)
-    ctx = _SearchContext(instance, mem, stats, budget, prune)
+    instance, bounds, order, cands, budget, prune = args
+    stats = _new_stats()
+    ctx = _SearchContext(instance, bounds, cands, stats, budget, prune)
     sols = []
-    ctx.dfs(order, 0, {}, [chunk] + other_cands, sols)
+    ctx.dfs(order, 0, {}, cands, sols)
     return [g.rows for g in sols], stats
 
 
-def _parallel_enum(instance, order, cand, budget, prune, workers, stats):
+def _parallel_enum(instance, bounds, order, cand, budget, prune, workers, stats):
     """Partition the first enumerated column across processes; the merge is
     re-sorted by the caller, so the outcome is independent of worker count.
     Each worker may spend what the walk left of the node budget, and the
@@ -586,7 +591,7 @@ def _parallel_enum(instance, order, cand, budget, prune, workers, stats):
     chunks = _split_chunks(cand[order[0]], workers)
     other = [cand[j] for j in order[1:]]
     left = budget - stats["nodes"]
-    jobs = [(instance, order, chunk, other, left, prune) for chunk in chunks]
+    jobs = [(instance, bounds, order, [chunk] + other, left, prune) for chunk in chunks]
     solutions = []
     with ProcessPoolExecutor(max_workers=workers) as ex:
         for rows_list, wstats in ex.map(_chunk_worker, jobs):
@@ -600,24 +605,27 @@ def _parallel_enum(instance, order, cand, budget, prune, workers, stats):
 
 
 class _SearchContext:
-    def __init__(self, instance, mem, stats, budget, prune):
+    """Depth-first search over the candidate columns.  A pair of columns
+    (x at i, y at j) is kept iff lo_ij <= x^T Qt y <= hi_ij and every 2x2
+    minor of (x, y) vanishes mod b; the leaf adds the determinantal
+    divisors."""
+
+    def __init__(self, instance, bounds, cands, stats, budget, prune):
         self.inst = instance
-        self.mem = mem
+        self.bounds = bounds
         self.stats = stats
         self.budget = budget
         self.prune = prune
-        self.rational_fast = instance.exact and instance.target.is_rational
-        q = instance.q
-        self.qt = q.tilde
-        self.qden = q.den
-        if self.rational_fast:
-            # x^T Qt y == t * den * Q_ij  <=>  x^T Q y == t Q_ij
-            tval = instance.target.rational
-            self.dot_targets = [
-                [int(tval * self.qden * q[i, j]) for j in range(q.n)] for i in range(q.n)
-            ]
-        self.np_qt = np.array(self.qt.rows, dtype=np.int64)
-        self.minor_pairs = [(i, k) for i in range(q.n) for k in range(i + 1, q.n)]
+        n = instance.n
+        self.qt = instance.q.tilde.rows
+        self.minor_pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+        # every dot x^T Qt y and minor the search forms is at most
+        # n^2 max|Qt| max|x|^2 in absolute value
+        bx = max((abs(v) for c in cands for y in c for v in y), default=0)
+        qmax = max(abs(v) for row in self.qt for v in row)
+        self.np_qt = None
+        if n * n * qmax * bx * bx < 2 ** 62:
+            self.np_qt = np.array(self.qt, dtype=np.int64)
 
     def dfs(self, order, depth, placed, cands, out):
         n = self.inst.n
@@ -625,48 +633,31 @@ class _SearchContext:
             self._leaf(placed, out)
             return
         j = order[depth]
-        mylist = cands[depth]
-        for y in mylist:
+        for y in cands[depth]:
             self.stats["nodes"] += 1
             if self.stats["nodes"] > self.budget:
                 raise ResourceBudgetError("matrix enumeration budget exhausted")
-            if not self.prune:
-                new_placed = dict(placed)
-                new_placed[j] = y
-                self.dfs(order, depth + 1, new_placed, cands, out)
-                continue
-            ok = True
-            for i, x in placed.items():
-                if not self._pair_ok(i, x, j, y):
-                    ok = False
-                    break
-            if not ok:
-                continue
             new_placed = dict(placed)
             new_placed[j] = y
+            if not self.prune:
+                self.dfs(order, depth + 1, new_placed, cands, out)
+                continue
+            # the later columns' lists are filtered against every placed
+            # column, so y already agrees with all of them
             new_cands = list(cands)
             for d2 in range(depth + 1, n):
-                col = order[d2]
-                filtered = self._filter(col, j, y, new_cands[d2])
-                new_cands[d2] = filtered
-                if not filtered:
+                new_cands[d2] = self._filter(order[d2], j, y, new_cands[d2])
+                if not new_cands[d2]:
+                    self.stats["prunes"]["window"] += 1
                     break
             else:
                 self.dfs(order, depth + 1, new_placed, new_cands, out)
-                continue
-            self.stats["prunes"]["window"] += 1
 
     def _pair_ok(self, i, x, j, y):
-        if self.rational_fast:
-            dot = _int_bilinear(self.qt.rows, x, y)
-            if dot != self.dot_targets[i][j]:
-                self.stats["prunes"]["pairwise"] += 1
-                return False
-        else:
-            val = self.inst.q.bilinear_value(x, y)
-            if not self.mem.entry_ok(val, min(i, j), max(i, j)):
-                self.stats["prunes"]["pairwise"] += 1
-                return False
+        lo, hi = self.bounds[i][j]
+        if not lo <= _int_bilinear(self.qt, x, y) <= hi:
+            self.stats["prunes"]["pairwise"] += 1
+            return False
         b = self.inst.b
         if b > 1:
             for r, s in self.minor_pairs:
@@ -677,49 +668,38 @@ class _SearchContext:
 
     def _filter(self, col, j, y, candidates):
         """Keep candidates for `col` compatible with the newly placed y at j."""
-        if not candidates:
-            return candidates
-        if self.rational_fast and _int64_safe(candidates, y, self.np_qt):
-            arr = np.asarray(candidates, dtype=np.int64)
-            qy = self.np_qt @ np.asarray(y, dtype=np.int64)
-            keep = (arr @ qy) == self.dot_targets[min(col, j)][max(col, j)]
-            n_pair = int(len(candidates) - keep.sum())
-            b = self.inst.b
-            if b > 1:
-                for r, s in self.minor_pairs:
-                    keep &= (y[r] * arr[:, s] - y[s] * arr[:, r]) % b == 0
-            kept = [candidates[i] for i in np.nonzero(keep)[0]]
-            self.stats["prunes"]["pairwise"] += n_pair
-            self.stats["prunes"]["minor"] += len(candidates) - n_pair - len(kept)
-            return kept
-        return [c for c in candidates if self._pair_ok(j, y, col, c)]
+        if self.np_qt is None or not candidates:
+            return [c for c in candidates if self._pair_ok(j, y, col, c)]
+        arr = np.asarray(candidates, dtype=np.int64)
+        dots = arr @ (self.np_qt @ np.asarray(y, dtype=np.int64))
+        lo, hi = self.bounds[col][j]
+        keep = (dots >= lo) & (dots <= hi)
+        n_pair = int(len(candidates) - keep.sum())
+        b = self.inst.b
+        if b > 1:
+            for r, s in self.minor_pairs:
+                keep &= (y[r] * arr[:, s] - y[s] * arr[:, r]) % b == 0
+        kept = [candidates[i] for i in np.nonzero(keep)[0]]
+        self.stats["prunes"]["pairwise"] += n_pair
+        self.stats["prunes"]["minor"] += len(candidates) - n_pair - len(kept)
+        return kept
 
     def _leaf(self, placed, out):
-        inst = self.inst
-        n = inst.n
+        n = self.inst.n
         cols = [placed[j] for j in range(n)]
-        gamma = IntegerMatrix.from_columns(cols)
         if not self.prune:
             for i in range(n):
-                for j in range(i, n):
-                    val = inst.q.bilinear_value(cols[i], cols[j])
-                    if not self.mem.entry_ok(val, i, j):
-                        self.stats["prunes"]["pairwise"] += 1
+                for j in range(i + 1, n):
+                    if not self._pair_ok(i, cols[i], j, cols[j]):
                         return
+        gamma = IntegerMatrix.from_columns(cols)
         if gamma.entry_gcd() != 1:
             self.stats["prunes"]["delta"] += 1
             return
         deltas = determinantal_divisors(gamma)
-        if deltas[0] != 1 or deltas[1] != inst.b:
+        if deltas[0] != 1 or deltas[1] != self.inst.b:
             self.stats["prunes"]["delta"] += 1
             return
-        if not inst.exact:
-            for i in range(n):
-                for j in range(i, n):
-                    val = inst.q.bilinear_value(cols[i], cols[j])
-                    if not self.mem.entry_ok(val, i, j):
-                        self.stats["prunes"]["window"] += 1
-                        return
         out.append(gamma)
 
 
@@ -732,11 +712,3 @@ def _int_bilinear(qt_rows, x, y):
             row = qt_rows[i]
             acc += xi * sum(row[j] * y[j] for j in range(n))
     return acc
-
-
-def _int64_safe(candidates, y, np_qt):
-    bx = max(max(abs(v) for v in c) for c in candidates) if candidates else 0
-    bx = max(bx, max(abs(v) for v in y))
-    qmax = int(np.abs(np_qt).max())
-    n = np_qt.shape[0]
-    return n * qmax * bx * bx < 2 ** 60

@@ -118,25 +118,3 @@ def iv_acos(x):
     lo_br = _acos_bracket(hi_arg)
     hi_br = _acos_bracket(lo_arg)
     return iv.mpf([lo_br[0].a, hi_br[1].b])
-
-
-def endpoint_fraction(v):
-    """Exact Fraction value of an mpf endpoint (mpf values are dyadic)."""
-    v = mpf(v)
-    if v == 0:
-        return Fraction(0)
-    man, exp = v.man, v.exp
-    fr = Fraction(int(man) * (-1 if v < 0 else 1))
-    if exp >= 0:
-        return fr * 2 ** int(exp)
-    return fr / 2 ** int(-exp)
-
-
-def fraction_upper_bound(x):
-    """A Fraction >= the interval's upper endpoint."""
-    return endpoint_fraction(x.b)
-
-
-def fraction_lower_bound(x):
-    """A Fraction <= the interval's lower endpoint."""
-    return endpoint_fraction(x.a)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv
+from mpmath.libmp import round_floor, to_int
 
 from .arith import factorize, factorize_fraction
 from .errors import DomainError, PrecisionExhausted, ZeroKernel
@@ -205,10 +206,10 @@ class FieldElement:
         return next(iter(self.coeffs.values()))
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return pair[0].coeffs == pair[1].coeffs
 
     def __hash__(self):
         return hash((self.spec, tuple(self.coeffs.items())))
@@ -226,29 +227,35 @@ class FieldElement:
             parts.append(("%s*%s" % (c, mon)) if mon else str(c))
         return "FieldElement(%s)" % " + ".join(parts)
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                if other.is_rational():
-                    return self.spec.from_rational(other.rational_value())
-                if self.is_rational():
-                    return other  # caller symmetric use only
-                raise DomainError("elements live in different field specs")
-            return other
+    def _pair(self, other):
+        """(self, other) as elements of one spec, or None for a foreign type.
+
+        A rational operand moves into the other operand's spec, so the
+        result lives where the irrational operand does; two irrational
+        elements of different specs are a DomainError."""
         if isinstance(other, (int, Fraction)):
-            return self.spec.from_rational(other)
-        return NotImplemented
+            return self, self.spec.from_rational(other)
+        if not isinstance(other, FieldElement):
+            return None
+        if other.spec == self.spec:
+            return self, other
+        if other.is_rational():
+            return self, self.spec.from_rational(other.rational_value())
+        if self.is_rational():
+            return other.spec.from_rational(self.rational_value()), other
+        raise DomainError("elements live in different field specs")
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        a, b = pair
+        out = dict(a.coeffs)
+        for e, c in b.coeffs.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return FieldElement(self.spec, out)
+        return FieldElement(a.spec, out)
 
     __radd__ = __add__
 
@@ -256,23 +263,24 @@ class FieldElement:
         return FieldElement(self.spec, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self + (-other)
+        return pair[0] + (-pair[1])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        n = self.spec.degree
-        primes = self.spec.primes
+        x, y = pair
+        n = x.spec.degree
+        primes = x.spec.primes
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in x.coeffs.items():
+            for e2, c2 in y.coeffs.items():
                 c = c1 * c2
                 e = []
                 for i, (a, b) in enumerate(zip(e1, e2)):
@@ -283,7 +291,7 @@ class FieldElement:
                     e.append(s)
                 e = tuple(e)
                 out[e] = out.get(e, Fraction(0)) + c
-        return FieldElement(self.spec, out)
+        return FieldElement(x.spec, out)
 
     __rmul__ = __mul__
 
@@ -324,10 +332,10 @@ class FieldElement:
         return FieldElement(self.spec, {e: sol[i] for i, e in enumerate(mons)})
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self * other.inverse()
+        return pair[0] * pair[1].inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -367,20 +375,30 @@ class FieldElement:
         return certified_sign(lambda _p: self.real_interval(), is_zero=self.is_zero)
 
     def __lt__(self, other):
-        other = self._coerce(other)
         return (self - other).sign() < 0
 
     def __le__(self, other):
-        other = self._coerce(other)
         return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        other = self._coerce(other)
         return (self - other).sign() > 0
 
     def __ge__(self, other):
-        other = self._coerce(other)
         return (self - other).sign() >= 0
+
+    def floor(self):
+        """The integer floor, exact: the real interval is refined, doubling
+        the precision up to PREC_CAP, until it spans at most two integer
+        floors; one certified sign then picks between them."""
+        prec = START_PREC
+        while prec <= PREC_CAP:
+            with precision(prec):
+                ends = self.real_interval()._mpi_
+            lo, hi = (to_int(e, round_floor) for e in ends)
+            if hi - lo <= 1:
+                return hi if lo == hi or (self - hi).sign() >= 0 else lo
+            prec *= 2
+        raise PrecisionExhausted("floor undecided at %d bits" % PREC_CAP)
 
     def abs_le(self, bound):
         """|self| <= bound, all exact/certified."""

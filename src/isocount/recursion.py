@@ -387,6 +387,10 @@ def proposition_driver(
         region = Region.box_around(q, Fraction(1, 4))
     if not region.contains_inner(q):
         raise DomainError("reference matrix must lie in the inner region")
+    dd = Fraction(d1) * Fraction(d2)
+    if dd.denominator != 1:
+        # L^((D1 D2)^(i+1)) is then no rational number for any level i
+        raise DomainError("D1*D2 = %s must be an integer" % dd)
     cache = _EnumCache(q, big_m, budget, workers)
 
     outer = outer_chain(
@@ -395,7 +399,7 @@ def proposition_driver(
         pair_budget=pair_budget,
     )
     i = outer.stabilization
-    l_cal = Fraction(l_param) ** int((Fraction(d1) * Fraction(d2)) ** (i + 1))
+    l_cal = Fraction(l_param) ** (dd.numerator ** (i + 1))
     inner, filter_history = inner_chain(
         q, l_cal, d1, region=region, nu_values=nu_values,
         budget=budget, workers=workers, big_m=big_m, cache=cache,

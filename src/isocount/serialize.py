@@ -65,6 +65,8 @@ def _entries_from_json(obj):
     if not isinstance(obj, dict) or "entries" not in obj:
         raise DomainError("matrix JSON needs an 'entries' field")
     entries = obj["entries"]
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise DomainError("matrix JSON 'entries' must be a list of rows")
     n = obj.get("n", len(entries))
     if len(entries) != n or any(len(r) != n for r in entries):
         raise DomainError("matrix JSON shape mismatch")

@@ -167,6 +167,13 @@ def _check_enumeration(rng):
     checks.append(("unit_instance_count", ss.count == 192, str(ss.count)))
     ss2 = enumeration.enum_S(enumeration.CountingInstance(i3, 3, 3), prune=False)
     checks.append(("prune_soundness", ss.matrices == ss2.matrices, ""))
+    # error regime M = 2: the integer entry windows against leaf-only checks
+    window = enumeration.CountingInstance(i3, 3, 3, big_m=2)
+    sw = enumeration.enum_S(window)
+    sw2 = enumeration.enum_S(window, prune=False)
+    checks.append(
+        ("prune_soundness_error_regime", sw.matrices == sw2.matrices, str(sw.count))
+    )
     sc = enumeration.enum_S(enumeration.CountingInstance(i3, 3, 5))
     checks.append(
         ("irrational_short_circuit", sc.count == 0 and sc.stats["short_circuit"] is not None, "")

@@ -248,6 +248,86 @@ def test_bound_cli_exit_code_on_extreme_input(mu, counts):
         assert err.getvalue().startswith(("error: ", "resource error: "))
 
 
+MALFORMED_INSTANCES = (
+    # a top-level list and a non-list 'entries' raised TypeError
+    [1, 2, 3],
+    {"q": {"entries": 5}, "a": 3, "b": 3},
+    # n = 1 raised IndexError in the leaf (Delta_2 needs 2x2 minors)
+    {"q": {"entries": [[1]]}, "a": 1, "b": 1},
+    # a non-integer a was truncated to 1
+    {"q": {"entries": [[1, 0], [0, 1]]}, "a": "3/2", "b": 3},
+)
+
+
+@pytest.mark.parametrize("instance", MALFORMED_INSTANCES)
+def test_count_cli_rejects_malformed_instance(instance, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    rc, out, err = run_cli(["count", "--instance", str(path), "--threads", "1"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+count_forms = st.sampled_from([
+    [["1", "0"], ["0", "1"]],
+    [[2, 1], [1, 3]],
+    [["1", "1/3"], ["1/3", "1"]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [["1", "1/2", "0"], ["1/2", "1", "0"], ["0", "0", "1"]],
+    [[1]],
+    [[1, 2], [2, 1]],  # not positive definite
+    [[1, 0], [1, 1]],  # not symmetric
+    [[1, 0], [0]],  # ragged
+    [],
+])
+
+
+@st.composite
+def instance_files(draw):
+    q = {"entries": draw(mostly(count_forms))}
+    if draw(st.booleans()):
+        q["n"] = draw(mostly(st.integers(0, 4)))
+    out = {
+        "q": draw(mostly(st.just(q))),
+        "a": draw(mostly(extreme_ints)),
+        "b": draw(mostly(extreme_ints)),
+    }
+    if draw(st.booleans()):
+        out["m"] = draw(mostly(st.sampled_from(["inf", "1", "3/2", "2", "4"])))
+    if draw(st.booleans()):
+        out["error_constant"] = draw(mostly(st.sampled_from(["1/2", "1", "3"])))
+    for key in draw(st.sets(st.sampled_from(["q", "a", "b"]), max_size=1)):
+        del out[key]
+    return draw(mostly(st.just(out)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=instance_files())
+def test_count_cli_exit_code_on_malformed_input(instance):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w") as fh:
+            json.dump(instance, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["count", "--instance", path, "--budget", "10000", "--threads", "1"])
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().startswith(("error: ", "resource error: "))
+
+
+def test_chain_cli_rejects_fractional_d1_d2(tmp_path, capsys):
+    # L^((D1 D2)^(i+1)) was computed with the exponent truncated to an integer
+    q = tmp_path / "q.json"
+    q.write_text(dumps({"schema": 1, "n": 2, "entries": [["1", "0"], ["0", "1"]]}))
+    rc, out, err = run_cli(
+        ["chain", "--q", str(q), "--L", "3", "--D1", "3/2", "--D2", "3/2", "--threads", "1"],
+        capsys,
+    )
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_exchange_cli(tmp_path, capsys):
     q = tmp_path / "q.json"
     q.write_text(dumps({"schema": 1, "n": 2, "entries": [["1", "0"], ["0", "1"]]}))

@@ -6,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 from isocount.enumeration import (
     CountingInstance,
     TargetScalar,
+    _entry_bounds,
+    _Membership,
+    _new_stats,
+    _SearchContext,
     count_S,
     enum_S,
     enum_norm_vectors,
@@ -129,7 +133,12 @@ def test_enum_S_oracle_equivalence_n2_window():
 
 
 def test_enum_S_pruning_soundness():
-    for inst in (CountingInstance(I3, 3, 3), CountingInstance(I2, 1, 1)):
+    for inst in (
+        CountingInstance(I3, 3, 3),
+        CountingInstance(I2, 1, 1),
+        CountingInstance(I3, 3, 3, big_m=2),
+        CountingInstance(Q21, 4, 1, big_m=2),
+    ):
         with_prune = enum_S(inst, prune=True)
         without = enum_S(inst, prune=False)
         assert with_prune.matrices == without.matrices
@@ -148,6 +157,15 @@ def test_enum_S_parallel_equivalence():
     seq = enum_S(CountingInstance(I3, 5, 5), workers=1)
     par = enum_S(CountingInstance(I3, 5, 5), workers=3)
     assert seq.matrices == par.matrices
+
+
+def test_enum_S_parallel_in_the_error_regime():
+    # the first column is split across workers in every regime, and the
+    # merged statistics match the sequential search
+    inst = CountingInstance(I3, 3, 3, big_m=2)
+    seq = enum_S(inst, workers=1)
+    par = enum_S(inst, workers=2)
+    assert seq.matrices == par.matrices and seq.stats == par.stats
 
 
 def test_enum_S_budget_error():
@@ -208,3 +226,67 @@ def test_stats_shape():
     ss = enum_S(CountingInstance(I3, 3, 3))
     assert set(ss.stats) >= {"count", "nodes", "prunes", "candidates_per_column"}
     assert ss.stats["candidates_per_column"] == [30, 30, 30]
+
+
+def test_instance_needs_two_columns():
+    # Delta_2 = b needs 2x2 minors; n = 1 failed with an IndexError in the leaf
+    with pytest.raises(DomainError):
+        CountingInstance(RationalSymMatrix([[1]]), 1, 1)
+
+
+HALF = Fraction(1, 2)
+WINDOW_FORMS = (
+    I2,
+    I3,
+    Q21,
+    RationalSymMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+    RationalSymMatrix([[1, HALF, 0], [HALF, 1, 0], [0, 0, 1]]),
+    RationalSymMatrix([[1, Fraction(1, 3)], [Fraction(1, 3), 1]]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.sampled_from(WINDOW_FORMS),
+    a=st.integers(1, 9),
+    b=st.integers(1, 9),
+    big_m=st.sampled_from([None, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4)]),
+    c=st.sampled_from([HALF, Fraction(1), Fraction(3)]),
+)
+def test_entry_bounds_decide_entry_ok(q, a, b, big_m, c):
+    # exact with t rational or irrational, and the error regime: the
+    # search's integer window on D = x^T den(Q)Q y accepts exactly what
+    # the verifier's entry_ok accepts for the value D / den(Q)
+    inst = CountingInstance(q, a, b, big_m=big_m, error_constant=c)
+    bounds = _entry_bounds(inst)
+    mem = _Membership(inst)
+    for i in range(q.n):
+        for j in range(q.n):
+            lo, hi = bounds[i][j]
+            assert bounds[j][i] == (lo, hi)
+            for d in range(min(lo, hi) - 3, max(lo, hi) + 4):
+                assert (lo <= d <= hi) == mem.entry_ok(Fraction(d, q.den), min(i, j), max(i, j))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.sampled_from(WINDOW_FORMS),
+    big_m=st.sampled_from([None, Fraction(2)]),
+    scale=st.sampled_from([1, 2 ** 29, 2 ** 32]),
+    data=st.data(),
+)
+def test_numpy_filter_matches_the_integer_loop(q, big_m, scale, data):
+    # the numpy filter runs only when the int64 bound holds, and then keeps
+    # and counts exactly what the per-pair Python test does
+    inst = CountingInstance(q, 3, 3, big_m=big_m)
+    bounds = _entry_bounds(inst)
+    vec = st.tuples(*[st.integers(-3, 3).map(lambda v: v * scale)] * q.n)
+    cands = data.draw(st.lists(vec, min_size=1, max_size=12))
+    y = data.draw(vec)
+    fast, slow = _new_stats(), _new_stats()
+    ctx_fast = _SearchContext(inst, bounds, [[y], cands], fast, 10 ** 6, True)
+    ctx_slow = _SearchContext(inst, bounds, [[y], cands], slow, 10 ** 6, True)
+    ctx_slow.np_qt = None
+    kept = ctx_fast._filter(1, 0, y, cands)
+    assert kept == ctx_slow._filter(1, 0, y, cands)
+    assert fast["prunes"] == slow["prunes"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isocount.errors import DomainError, ZeroKernel
+from isocount.errors import DomainError, PrecisionExhausted, ZeroKernel
 from isocount.intervals import precision
 from isocount.radicals import (
     BalancedPair,
@@ -282,3 +282,69 @@ def test_conjugate_moduli_product_vs_norm():
         n = abs(float(z.norm()))
         assert prod_lo * (1 - 1e-9) - 1e-9 <= n <= prod_hi * (1 + 1e-9) + 1e-9
         assert prod_hi >= 1 - 1e-9
+
+
+def test_rational_operand_takes_the_other_operands_field():
+    # a rational element of Q(2^(1/3)) times 3^(1/3) of Q(3^(1/3)) used to be
+    # computed with the primes of the first spec and gave 2 * 2^(1/3)
+    k3 = RadicalFieldSpec(3, [3])
+    two, r3 = K2.from_rational(2), k3.root_of(3)
+    expected = {
+        "mul": FieldElement(k3, {(1,): 2}),
+        "add": FieldElement(k3, {(0,): 2, (1,): 1}),
+        "sub": FieldElement(k3, {(0,): 2, (1,): -1}),
+        "div": FieldElement(k3, {(2,): Fraction(2, 3)}),
+    }
+    for x, y, sign in ((two, r3, 1), (r3, two, -1)):
+        got = {"mul": x * y, "add": x + y, "sub": (x - y) * sign}
+        got["div"] = x / y if sign == 1 else 1 / (x / y)
+        for name, value in got.items():
+            assert value.spec == k3, name
+            assert value == expected[name], name
+    assert two > r3 and r3 < two and two >= r3 and r3 <= two
+    assert K2.one() < r3 and r3 > K2.one()
+    assert two == k3.from_rational(2) and k3.from_rational(2) == two
+    assert two != r3 and r3 != two
+    th = K2.root_of(2)
+    for op in (
+        lambda: th * r3, lambda: r3 * th, lambda: th + r3, lambda: r3 - th,
+        lambda: th / r3, lambda: th == r3, lambda: th < r3,
+    ):
+        with pytest.raises(DomainError):
+            op()
+
+
+def _assert_floor(x):
+    k = x.floor()
+    assert isinstance(k, int)
+    assert (x - k).sign() >= 0 and (x - (k + 1)).sign() < 0
+    return k
+
+
+def test_floor_of_exact_integers_and_negatives():
+    th = K2.root_of(2)
+    assert _assert_floor(th * (th * th)) == 2
+    assert _assert_floor(-(th * (th * th))) == -2
+    assert _assert_floor(th) == 1 and _assert_floor(-th) == -2
+    assert _assert_floor(th * th * 10 ** 40) == 15874010519681994747517056392723082603914
+    assert _assert_floor(K2.from_rational(Fraction(-7, 2))) == -4
+    assert _assert_floor(K2.zero()) == 0
+    # integers too long for the starting precision: the sign step decides
+    assert _assert_floor(K2.from_rational(3 ** 100)) == 3 ** 100
+    assert _assert_floor(K2.from_rational(-3 ** 100)) == -3 ** 100
+    r2, r3 = K23.root_of(2), K23.root_of(3)
+    assert _assert_floor(r2 * r2 * r2 + r3 * r3 * r3 - 5) == 0
+    # above the precision cap the floor is refused, not looped on
+    with pytest.raises(PrecisionExhausted):
+        (th * 10 ** 2000).floor()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10 ** 6),
+    scale=st.sampled_from([1, 7, 10 ** 6, 10 ** 30]),
+    shift=st.integers(-50, 50),
+)
+def test_floor_is_certified(seed, scale, shift):
+    x = rand_element(random.Random(seed), K23) * scale + shift
+    _assert_floor(x)

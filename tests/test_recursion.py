@@ -127,3 +127,18 @@ def test_chain_dimensions_weakly_decreasing(cert_n3):
 def test_pair_budget_guard():
     with pytest.raises(ResourceBudgetError):
         outer_chain(I2, 3, 2, 4, pair_budget=10)
+
+
+def test_fractional_d1_d2_product_is_refused_before_the_chain(monkeypatch):
+    # proposition_driver(I2, 3, 3/2, 3/2) certified l_cal = 9 = 3^int(9/4)
+    # where L^((D1 D2)^(i+1)) = 3^(9/4) is no rational number
+    import isocount.recursion as recursion
+
+    def outer_chain_must_not_run(*args, **kwargs):
+        raise AssertionError("outer chain ran")
+
+    monkeypatch.setattr(recursion, "outer_chain", outer_chain_must_not_run)
+    with pytest.raises(DomainError):
+        proposition_driver(I2, 3, Fraction(3, 2), Fraction(3, 2))
+    with pytest.raises(DomainError):
+        proposition_driver(I2, 3, Fraction(1, 2), 3)
