@@ -40,22 +40,29 @@ def is_prime(n):
     return True
 
 
+MAX_SIEVE = 10 ** 7
+
+
 def primes_in_range(lo, hi):
-    """All primes p with lo <= p <= hi, ascending (segmented sieve)."""
+    """All primes p with lo <= p <= hi, ascending (segmented sieve).
+
+    ResourceBudgetError, before anything is allocated, when the segment or
+    the base sieve up to sqrt(hi) would exceed MAX_SIEVE bytes."""
     lo = max(2, lo)
     if hi < lo:
         return []
     root = math.isqrt(hi)
+    if max(hi - lo + 1, root + 1) > MAX_SIEVE:
+        raise ResourceBudgetError(
+            "sieving [%d, %d] exceeds the sieve budget of %d" % (lo, hi, MAX_SIEVE)
+        )
     base = _simple_sieve(root)
     seg = bytearray([1]) * (hi - lo + 1)
     for p in base:
         start = max(p * p, ((lo + p - 1) // p) * p)
         for k in range(start, hi + 1, p):
             seg[k - lo] = 0
-    out = [lo + i for i, f in enumerate(seg) if f]
-    if lo <= 1:
-        out = [p for p in out if p > 1]
-    return out
+    return [lo + i for i, f in enumerate(seg) if f]
 
 
 def _simple_sieve(limit):
@@ -234,10 +241,3 @@ def kronecker(a, n):
             sign = -sign
         a %= n
     return sign if n == 1 else 0
-
-
-def lcm_many(values):
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out

@@ -14,6 +14,7 @@ from mpmath import iv
 from .arith import inv_mod
 from .errors import DomainError, PreconditionFailed
 from .intervals import iv_acos, iv_fraction, precision, START_PREC
+from .matrices import bilinear
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,9 @@ def verify_inner_congruence(x, y, a_sym, p, rho):
     w = scalar_congruence(x, y, p, rho)
     mod = w.modulus
     mod2 = mod * mod
-    xa = _bilinear(x, a_sym, x)
-    ya = _bilinear(y, a_sym, y)
-    xy = _bilinear(x, a_sym, y)
+    xa = bilinear(a_sym, x, x)
+    ya = bilinear(a_sym, y, y)
+    xy = bilinear(a_sym, x, y)
     results = set()
     for a_lift in (w.a, w.a + mod):
         abar_lift = inv_mod(a_lift, mod2)
@@ -95,11 +96,6 @@ def verify_inner_congruence(x, y, a_sym, p, rho):
     if len(results) != 1:
         raise PreconditionFailed("congruence value depends on the representative")
     return results.pop()
-
-
-def _bilinear(x, a_sym, y):
-    n = len(x)
-    return sum(x[i] * a_sym[i][j] * y[j] for i in range(n) for j in range(n))
 
 
 def min_pairwise_angle(vectors, q):

@@ -7,7 +7,7 @@ enumerator extends column by column, ordering columns by candidate count,
 and prunes partial assignments with the pairwise bilinear condition, the
 mod-b minor congruence, and the search box.  Every emitted matrix is
 re-verified post hoc through an independent code path (gcd-of-minors
-determinantal divisors and direct bilinear evaluation).
+determinantal divisors and one congruence gamma^T den(Q)Q gamma).
 
 The search decides membership in integers only: once per instance,
 _entry_bounds turns each entry condition on gamma^T Q gamma into an integer
@@ -27,10 +27,11 @@ from .arith import iroot
 from .errors import DomainError, InternalConsistencyError, ResourceBudgetError
 from .matrices import (
     IntegerMatrix,
+    congruence,
     determinantal_divisor_oracle,
     determinantal_divisors,
 )
-from .radicals import FieldElement, RadicalFieldSpec
+from .radicals import RadicalFieldSpec
 
 DEFAULT_BUDGET = 10 ** 8
 DEFAULT_MAX_ENTRY = 10 ** 7
@@ -179,13 +180,14 @@ def enum_norm_vectors(q, t, tol=0, max_entry=DEFAULT_MAX_ENTRY, budget=DEFAULT_B
     return _enum_window(q, t - tol, t + tol, max_entry, budget, None)
 
 
-def _exact_range(c, d, room, approx_lo, approx_hi):
-    """Integers y with d * (y + c)^2 <= room, starting from float guesses.
+def _exact_range(c, d, room, seed_lo, seed_hi):
+    """Integers y with d * (y + c)^2 <= room, from seeds that bracket them
+    (seed_lo at or below the range, seed_hi at or above it).
 
     The predicate is kept in product form so integral inputs stay on pure
     integer arithmetic.
     """
-    y_lo, y_hi = approx_lo, approx_hi
+    y_lo, y_hi = seed_lo, seed_hi
     while d * (y_lo + c) * (y_lo + c) > room:
         y_lo += 1
         if y_lo > y_hi:
@@ -199,6 +201,13 @@ def _exact_range(c, d, room, approx_lo, approx_hi):
     return y_lo, y_hi
 
 
+def _seeds(c, d, room):
+    """floor(-c) - r - 1 and ceil(-c) + r + 1 with r = isqrt(floor(room/d)),
+    so |y + c| <= sqrt(room/d) < r + 1 lies strictly between them; exact."""
+    r = math.isqrt(room // d)
+    return math.floor(-c) - r - 1, math.ceil(-c) + r + 1
+
+
 def _band_solutions(c, d, room_lo, room_hi):
     """Integers y with room_lo <= d * (y + c)^2 <= room_hi.
 
@@ -207,26 +216,15 @@ def _band_solutions(c, d, room_lo, room_hi):
     """
     if room_hi < 0:
         return []
-    hi_r = math.sqrt(float(room_hi) / float(d)) if room_hi > 0 else 0.0
-    cf = float(c)
     if room_lo <= 0:
-        y_lo, y_hi = _exact_range(
-            c, d, room_hi, math.floor(-cf - hi_r) - 1, math.ceil(-cf + hi_r) + 1
-        )
+        y_lo, y_hi = _exact_range(c, d, room_hi, *_seeds(c, d, room_hi))
         return list(range(y_lo, y_hi + 1))
-    out = []
-    lo_r = math.sqrt(float(room_lo) / float(d))
-    # positive band: y + c in [lo_r, hi_r]
-    for y in range(math.floor(-cf + lo_r) - 1, math.ceil(-cf + hi_r) + 2):
-        v = d * (y + c) * (y + c)
-        if room_lo <= v <= room_hi and (y + c) > 0:
-            out.append(y)
-    # negative band: y + c in [-hi_r, -lo_r]
-    for y in range(math.floor(-cf - hi_r) - 1, math.ceil(-cf - lo_r) + 2):
-        v = d * (y + c) * (y + c)
-        if room_lo <= v <= room_hi and (y + c) < 0:
-            out.append(y)
-    return sorted(out)
+    outer_lo, outer_hi = _seeds(c, d, room_hi)
+    inner_lo, inner_hi = _seeds(c, d, room_lo)
+    # y + c <= -sqrt(room_lo/d) puts y at or below inner_lo + 1, and
+    # y + c >= sqrt(room_lo/d) at or above inner_hi - 1
+    bands = (range(outer_lo, inner_lo + 2), range(inner_hi - 1, outer_hi + 1))
+    return [y for band in bands for y in band if room_lo <= d * (y + c) * (y + c) <= room_hi]
 
 
 def _enum_window(q, lo, hi, max_entry, budget, counter):
@@ -276,11 +274,7 @@ def _enum_window(q, lo, hi, max_entry, budget, counter):
                 raise ResourceBudgetError("norm-vector enumeration budget exhausted")
             return
         di = d[i]
-        approx = math.sqrt(float(room) / float(di)) if room > 0 else 0.0
-        cf = float(c)
-        y_lo, y_hi = _exact_range(
-            c, di, room, math.floor(-cf - approx) - 1, math.ceil(-cf + approx) + 1
-        )
+        y_lo, y_hi = _exact_range(c, di, room, *_seeds(c, di, room))
         for y in range(y_lo, y_hi + 1):
             nodes[0] += 1
             if nodes[0] > budget:
@@ -324,89 +318,10 @@ def first_column_bound(q, m, eps, constant=Fraction(100)):
 # membership logic
 
 
-class _Membership:
-    """Exact condition checks for one instance, rational or radical."""
-
-    def __init__(self, instance):
-        self.inst = instance
-        self.t = instance.target
-        self.is_sym = isinstance(instance.q, SymbolicSymMatrix)
-        self.spec = None
-        self.t_el = None
-        self.thr_el = None
-        if self.is_sym or not instance.exact:
-            self.spec = self._build_spec()
-            self.t_el = self.t.as_field_element(self.spec)
-            if not instance.exact:
-                num = 2 - instance.big_m
-                expo = Fraction(num, instance.n)
-                power = expo * self.spec.degree
-                assert power.denominator == 1
-                self.thr_el = self.spec.power_root(self.inst.s, int(power)) * instance.error_constant
-
-    def _build_spec(self):
-        n = self.inst.n
-        degree = n
-        if not self.inst.exact:
-            degree = lcm(degree, Fraction(2 - self.inst.big_m, n).denominator)
-        if self.is_sym:
-            degree = lcm(degree, self.inst.q.spec.degree)
-            rads = self.inst.q.spec.radicands + (Fraction(max(self.inst.s, 1)),)
-            return RadicalFieldSpec(degree, rads)
-        return RadicalFieldSpec(degree, [Fraction(max(self.inst.s, 1))])
-
-    # entry (i, j) of gamma^T Q gamma must be within threshold of t * Q_ij
-    def entry_ok(self, value, i, j):
-        inst = self.inst
-        if not self.is_sym and inst.exact:
-            qij = inst.q[i, j]
-            if self.t.is_rational:
-                return Fraction(value) == self.t.rational * qij
-            if qij == 0:
-                return Fraction(value) == 0
-            return self.t.equals_fraction(Fraction(value) / qij)
-        qij = self._q_el(i, j)
-        diff = self._coerce(value) - self.t_el * qij
-        if inst.exact:
-            return diff.is_zero()
-        return diff.abs_le(self.thr_el)
-
-    def _q_el(self, i, j):
-        if self.is_sym:
-            el = self.inst.q[i, j]
-            if el.spec != self.spec:
-                return _lift(el, self.spec)
-            return el
-        return self.spec.from_rational(self.inst.q[i, j])
-
-    def _coerce(self, value):
-        if isinstance(value, FieldElement):
-            return _lift(value, self.spec) if value.spec != self.spec else value
-        return self.spec.from_rational(value)
-
-
-def _lift(el, spec):
-    out = spec.zero()
-    src = el.spec
-    ratio = spec.degree // src.degree
-    if spec.degree % src.degree:
-        raise DomainError("incompatible field specs")
-    for e, c in el.coeffs.items():
-        term = spec.from_rational(c)
-        for p, k in zip(src.primes, e):
-            if k:
-                term = term * spec.power_root(p, k * ratio)
-        out = out + term
-    return out
-
-
-def lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
 def verify_membership(instance, gamma):
     """Full definition check through paths independent of the enumerator:
-    gcd-of-minors determinantal divisors and direct bilinear evaluation."""
+    gcd-of-minors determinantal divisors and one congruence gamma^T R gamma
+    with R = den(Q)Q (the entries themselves for a symbolic Q, den = 1)."""
     n = instance.n
     if gamma.n != n:
         return False
@@ -414,28 +329,42 @@ def verify_membership(instance, gamma):
         return False
     if determinantal_divisor_oracle(gamma.rows, 2) != instance.b:
         return False
-    mem = _Membership(instance)
-    cols = gamma.columns()
-    for i in range(n):
-        for j in range(i, n):
-            val = _bilinear(instance.q, cols[i], cols[j])
-            if not mem.entry_ok(val, i, j):
-                return False
-    return True
-
-
-def _bilinear(q, x, y):
-    n = q.n
+    q = instance.q
     if isinstance(q, SymbolicSymMatrix):
-        acc = None
-        for i in range(n):
-            if x[i]:
-                for j in range(n):
-                    if y[j]:
-                        term = q[i, j] * (x[i] * y[j])
-                        acc = term if acc is None else acc + term
-        return acc if acc is not None else q.spec.zero()
-    return q.bilinear_value(x, y)
+        rows, den = q.entries, 1
+    else:
+        rows, den = q.tilde.rows, q.den
+    g = congruence(rows, gamma.rows)
+    accept = _entry_test(instance, den)
+    return all(accept(g[i][j], rows[i][j]) for i in range(n) for j in range(i, n))
+
+
+def _entry_test(instance, den):
+    """accept(v, w): entry (i, j) of gamma^T Q gamma is admissible, given
+    v = (gamma^T R gamma)_ij and w = R_ij for R = den Q, i.e. v = t w
+    exactly, or |v - t w| <= den thr in the error regime."""
+    t = instance.target
+    sym = isinstance(instance.q, SymbolicSymMatrix)
+    if instance.exact and t.is_rational:
+        r = t.rational
+        return lambda v, w: v == r * w
+    if instance.exact and not sym:
+        return lambda v, w: t.equals_fraction(Fraction(v, w)) if w else v == 0
+    # the field of t (and thr, and a symbolic Q's entries)
+    degree = instance.n
+    radicands = [instance.s]
+    if sym:
+        degree = math.lcm(degree, instance.q.spec.degree)
+        radicands += instance.q.spec.radicands
+    if not instance.exact:
+        expo = Fraction(2 - instance.big_m, instance.n)
+        degree = math.lcm(degree, expo.denominator)
+    spec = RadicalFieldSpec(degree, radicands)
+    t_el = t.as_field_element(spec)
+    if instance.exact:
+        return lambda v, w: not (spec.coerce(v) - t_el * spec.coerce(w))
+    bound = spec.power_root(instance.s, int(expo * degree)) * (instance.error_constant * den)
+    return lambda v, w: (spec.coerce(v) - t_el * spec.coerce(w)).abs_le(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +385,7 @@ def _entry_bounds(instance):
     qt = instance.q.tilde.rows
     if not instance.exact:
         expo = Fraction(2 - instance.big_m, instance.n)
-        spec = RadicalFieldSpec(lcm(instance.n, expo.denominator), [instance.s])
+        spec = RadicalFieldSpec(math.lcm(instance.n, expo.denominator), [instance.s])
         t_el = t.as_field_element(spec)
         thr = spec.power_root(instance.s, int(expo * spec.degree))
         thr = thr * (instance.error_constant * instance.q.den)

@@ -1,17 +1,18 @@
 """Exact integer/rational matrix primitives.
 
 The exact elimination kernel (`Echelon`, with `det` and `solve` on top),
-Smith normal form with a deterministic pivot rule, determinantal divisors,
+the bilinear forms x^T A y and G^T A G (`bilinear`, `congruence`), Smith
+normal form with a deterministic pivot rule, determinantal divisors,
 denominators, 2x2 minor sets and the quadratic-residue goodness test for
 primes.  No floating point anywhere; entries are Python ints, Fractions or,
-for the elimination kernel, radical-field elements.
+for the elimination kernel and the bilinear forms, radical-field elements.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from .arith import kronecker, lcm_many
+from .arith import kronecker
 from .errors import DomainError
 
 DEFAULT_MAX_DIM = 8
@@ -175,6 +176,29 @@ def det(rows):
     p = ech.pivots
     inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1 :])
     return (-1) ** inversions * math.prod(ech.leads)
+
+
+def _dot(u, v):
+    return sum(s * t for s, t in zip(u, v) if s and t)
+
+
+def bilinear(a, x, y):
+    """x^T A y, exactly, over ints, Fractions or radical-field elements
+    (the int 0 when every term vanishes)."""
+    return sum(xi * _dot(row, y) for xi, row in zip(x, a) if xi)
+
+
+def congruence(a, g):
+    """G^T A G for a symmetric A, exactly, over the entries `bilinear`
+    takes: the entries i <= j are computed and mirrored."""
+    cols = list(zip(*g))
+    n = len(cols)
+    out = [[0] * n for _ in range(n)]
+    for j, y in enumerate(cols):
+        ay = [_dot(row, y) for row in a]
+        for i in range(j + 1):
+            out[i][j] = out[j][i] = _dot(cols[i], ay)
+    return out
 
 
 def solve(a, b):
@@ -415,15 +439,7 @@ class RationalSymMatrix:
         return self.bilinear_value(y, y)
 
     def bilinear_value(self, x, y):
-        n = self.n
-        e = self.entries
-        acc = Fraction(0)
-        for i in range(n):
-            xi = x[i]
-            if xi:
-                row = e[i]
-                acc += xi * sum(row[j] * y[j] for j in range(n))
-        return acc
+        return Fraction(bilinear(self.entries, x, y))
 
     def ldl(self):
         """Exact Q = U^T diag(d) U with U unit upper triangular.
@@ -461,11 +477,7 @@ def ldl(rows):
 
 def denominator(entries):
     """den(Q): least positive r such that r*Q is integral."""
-    dens = []
-    for row in entries:
-        for x in row:
-            dens.append(Fraction(x).denominator)
-    return lcm_many(dens)
+    return math.lcm(*(Fraction(x).denominator for row in entries for x in row))
 
 
 def minor_set(q, all_pairs=False):

@@ -113,15 +113,27 @@ class RadicalFieldSpec:
 
     def coerce(self, x):
         """x as an element of this field.  Rationals, and rational elements
-        of another spec, convert; an irrational element of another spec is
-        a DomainError."""
-        if isinstance(x, FieldElement):
-            if x.spec == self:
-                return x
-            if not x.is_rational():
-                raise DomainError("mixed field specs in one vector family")
-            x = x.rational_value()
-        return self.from_rational(x)
+        of another spec, convert.  An irrational element of another spec
+        lifts when that spec's degree divides this one's and its primes are
+        among these (p^(k/d) is p^(k (n/d)/n)); otherwise DomainError."""
+        if not isinstance(x, FieldElement):
+            return self.from_rational(x)
+        src = x.spec
+        if src == self:
+            return x
+        if x.is_rational():
+            return self.from_rational(x.rational_value())
+        if self.degree % src.degree or not set(src.primes) <= set(self.primes):
+            raise DomainError("an element of %r does not lie in %r" % (src, self))
+        ratio = self.degree // src.degree
+        where = [self.primes.index(p) for p in src.primes]
+        coeffs = {}
+        for e, c in x.coeffs.items():
+            lifted = [0] * len(self.primes)
+            for k, ep in zip(where, e):
+                lifted[k] = ep * ratio
+            coeffs[tuple(lifted)] = c
+        return FieldElement(self, coeffs)
 
     def root_of(self, radicand):
         """The real positive n-th root of a positive rational, as an element."""
@@ -212,6 +224,9 @@ class FieldElement:
         return pair[0].coeffs == pair[1].coeffs
 
     def __hash__(self):
+        # a rational element equals its value in every spec: hash that value
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash((self.spec, tuple(self.coeffs.items())))
 
     def __repr__(self):
@@ -440,10 +455,7 @@ class FieldElement:
         return [iv.sqrt(re * re + im * im) for re, im in self.conjugate_values()]
 
     def denominator_lcm(self):
-        out = 1
-        for c in self.coeffs.values():
-            out = out * c.denominator // math.gcd(out, c.denominator)
-        return out
+        return math.lcm(*(c.denominator for c in self.coeffs.values()))
 
     def to_json(self):
         """Coefficient-vector form used in certificates and reports."""
@@ -740,10 +752,7 @@ def kernel_basis_bounded(rows, spec=None):
         y[f] = spec.one()
         for i, p in enumerate(pivots):
             y[p] = -red[i][f]
-        scale = 1
-        for x in y:
-            d = x.denominator_lcm()
-            scale = scale * d // math.gcd(scale, d)
+        scale = math.lcm(*(x.denominator_lcm() for x in y))
         y = tuple(x * scale for x in y)
         basis.append(y)
     return basis

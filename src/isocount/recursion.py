@@ -349,7 +349,7 @@ def _envelope_case3(count, p, nu, n, eps, den, constant):
     eps = Fraction(eps)
     expo = Fraction(nu) * (n - 2 + eps)
     half = Fraction((n - 1) ** 2, 2)
-    v = (expo.denominator * half.denominator) // math.gcd(expo.denominator, half.denominator)
+    v = math.lcm(expo.denominator, half.denominator)
     lhs = Fraction(count) ** v
     rhs = (
         Fraction(constant) ** v

@@ -27,7 +27,15 @@ from .errors import (
     PreconditionFailed,
     ZeroKernel,
 )
-from .matrices import Echelon, IntegerMatrix, RationalSymMatrix, Region, ldl, solve
+from .matrices import (
+    Echelon,
+    IntegerMatrix,
+    RationalSymMatrix,
+    Region,
+    congruence,
+    ldl,
+    solve,
+)
 from .radicals import (
     FieldElement,
     RadicalFieldSpec,
@@ -84,36 +92,12 @@ class TransferOperator:
 
     def apply_direct(self, sym_entries):
         """gamma^T Q gamma - m^(1/n) Q evaluated entrywise (spot-check path)."""
-        n = self.n
-        g = self.gamma.rows
         q = [[self.spec.coerce(x) for x in row] for row in sym_entries]
-        qg = [[_dotcol(q[i], g, j, n) for j in range(n)] for i in range(n)]
-        conj = [
-            [_dotrow(g, qg, i, j, n) for j in range(n)]
-            for i in range(n)
-        ]
+        conj = congruence(q, self.gamma.rows)
         return [
-            [conj[i][j] - self.scalar * q[i][j] for j in range(n)]
-            for i in range(n)
+            [c - self.scalar * x for c, x in zip(crow, qrow)]
+            for crow, qrow in zip(conj, q)
         ]
-
-
-def _dotcol(qrow, g, j, n):
-    acc = None
-    for k in range(n):
-        if g[k][j]:
-            t = qrow[k] * g[k][j]
-            acc = t if acc is None else acc + t
-    return acc if acc is not None else qrow[0] * 0
-
-
-def _dotrow(g, qg, i, j, n):
-    acc = None
-    for k in range(n):
-        if g[k][i]:
-            t = qg[k][j] * g[k][i]
-            acc = t if acc is None else acc + t
-    return acc if acc is not None else qg[0][j] * 0
 
 
 def _scale_root(m, n, spec):
@@ -487,14 +471,14 @@ def exchange_step(
     kspec = replacement_field(sub)
     qp = find_q_prime(sub, region, q, den_bound_log2=den_bound_log2)
 
+    if qp.rational:
+        q_prime_mat = qp.as_rational_matrix()
+    else:
+        q_prime_mat = qp.as_symbolic(sub.spec)
     verified = 0
     violations = 0
     for pair, ss in sorted(solutions.items()):
         p, qq, nu = pair
-        if qp.rational:
-            q_prime_mat = qp.as_rational_matrix()
-        else:
-            q_prime_mat = qp.as_symbolic(sub.spec)
         inst_prime = CountingInstance(q_prime_mat, a=qq ** nu, b=p ** nu, big_m=None)
         for gamma in ss.matrices:
             if verify_membership(inst_prime, gamma):

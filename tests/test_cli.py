@@ -9,6 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isocount.arith import MAX_SIEVE
 from isocount.cli import main
 from isocount.serialize import dumps
 
@@ -314,6 +315,56 @@ def test_count_cli_exit_code_on_malformed_input(instance):
     assert rc in (0, 1, 2)
     if rc:
         assert err.getvalue().startswith(("error: ", "resource error: "))
+
+
+def test_count_cli_with_pivots_below_the_float_range(tmp_path, capsys):
+    # diag(10^-400, 10^-400) ended in a ZeroDivisionError from a float seed
+    tiny = "1/1" + "0" * 400
+    counts = []
+    for q in ([[tiny, "0"], ["0", tiny]], [["1", "0"], ["0", "1"]]):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"q": {"entries": q}, "a": 1, "b": 5}))
+        rc, out, err = run_cli(["count", "--instance", str(path), "--threads", "1"], capsys)
+        assert rc == 0, err
+        counts.append(json.loads(out)["count"])
+    assert counts == [16, 16]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        # the sieve of [2, 10^29] ran out of memory
+        ["qgood", "--from", "2", "--to", str(10 ** 29)],
+        # [3, 2 * 3^100] overflowed the sieve's bytearray
+        ["exchange", "--L", "3", "--D", "100", "--threads", "1"],
+    ],
+)
+def test_sieve_beyond_its_budget_exits_2(identity3_file, capsys, command):
+    rc, out, err = run_cli(command[:1] + ["--q", identity3_file] + command[1:], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("resource error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.integers(-5, 10 ** 4),
+    hi=st.one_of(st.integers(2, 10 ** 4), st.integers(10 ** 20, 10 ** 40)),
+    coprime=st.integers(1, 30),
+)
+def test_qgood_cli_exit_code_on_extreme_input(lo, hi, coprime):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "q.json")
+        with open(path, "w") as fh:
+            json.dump({"entries": [["2", "1"], ["1", "3"]]}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["qgood", "--q", path, "--from", str(lo), "--to", str(hi),
+                       "--coprime", str(coprime)])
+    if hi > MAX_SIEVE:
+        assert rc == 2 and err.getvalue().startswith("resource error: ")
+    else:
+        assert rc == 0
+        assert all(lo <= p <= hi for p in json.loads(out.getvalue())["primes"])
 
 
 def test_chain_cli_rejects_fractional_d1_d2(tmp_path, capsys):

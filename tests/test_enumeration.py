@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from isocount.enumeration import (
     CountingInstance,
+    SymbolicSymMatrix,
     TargetScalar,
     _entry_bounds,
-    _Membership,
+    _entry_test,
     _new_stats,
     _SearchContext,
     count_S,
@@ -18,6 +19,7 @@ from isocount.enumeration import (
 )
 from isocount.errors import DomainError, ResourceBudgetError
 from isocount.matrices import IntegerMatrix, RationalSymMatrix
+from isocount.radicals import RadicalFieldSpec
 
 from oracles import box_norm_vectors, enum_S_oracle, solution_set_flat
 
@@ -256,16 +258,16 @@ WINDOW_FORMS = (
 def test_entry_bounds_decide_entry_ok(q, a, b, big_m, c):
     # exact with t rational or irrational, and the error regime: the
     # search's integer window on D = x^T den(Q)Q y accepts exactly what
-    # the verifier's entry_ok accepts for the value D / den(Q)
+    # the verifier's entry test accepts for D against den(Q)Q_ij
     inst = CountingInstance(q, a, b, big_m=big_m, error_constant=c)
     bounds = _entry_bounds(inst)
-    mem = _Membership(inst)
+    accept = _entry_test(inst, q.den)
     for i in range(q.n):
         for j in range(q.n):
             lo, hi = bounds[i][j]
             assert bounds[j][i] == (lo, hi)
             for d in range(min(lo, hi) - 3, max(lo, hi) + 4):
-                assert (lo <= d <= hi) == mem.entry_ok(Fraction(d, q.den), min(i, j), max(i, j))
+                assert (lo <= d <= hi) == accept(d, q.tilde[min(i, j), max(i, j)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -290,3 +292,59 @@ def test_numpy_filter_matches_the_integer_loop(q, big_m, scale, data):
     kept = ctx_fast._filter(1, 0, y, cands)
     assert kept == ctx_slow._filter(1, 0, y, cands)
     assert fast["prunes"] == slow["prunes"]
+
+
+THIRD = Fraction(1, 3)
+DUAL_FORMS = (
+    I2,  # den 1
+    RationalSymMatrix([[1, HALF], [HALF, 1]]),  # den 2
+    RationalSymMatrix([[1, THIRD], [THIRD, 1]]),  # den 3
+    I3,
+    RationalSymMatrix([[1, HALF, 0], [HALF, 1, 0], [0, 0, 1]]),
+    RationalSymMatrix([[1, THIRD, 0], [THIRD, 1, 0], [0, 0, 1]]),
+)
+# exact with t rational or irrational, and the error regime; M = 3/2 puts
+# thr in a larger field than t, so the symbolic Q is lifted
+DUAL_REGIMES = (None, None, Fraction(1), Fraction(2), Fraction(4), Fraction(3, 2))
+
+
+@st.composite
+def dual_cases(draw):
+    q = draw(st.sampled_from(DUAL_FORMS))
+    if q.n == 2:
+        b, big_m = draw(st.integers(1, 3)), draw(st.sampled_from(DUAL_REGIMES))
+    else:
+        # b = 1 or M < 2 leaves thousands of solutions in three variables;
+        # s = a b^2 decides whether t is rational in the exact regime
+        regimes = (None, None, Fraction(2), Fraction(4))
+        b, big_m = draw(st.integers(2, 3)), draw(st.sampled_from(regimes))
+    return q, draw(st.integers(1, 3)), b, big_m
+
+
+def _perturbed(g, data):
+    rows = [list(r) for r in g.rows]
+    i, j = data.draw(st.tuples(*[st.integers(0, g.n - 1)] * 2))
+    rows[i][j] += data.draw(st.sampled_from([-1, 1]))
+    return IntegerMatrix(rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=dual_cases(), data=st.data())
+def test_verify_membership_agrees_on_rational_and_symbolic_q(case, data):
+    # the verifier on Q (integers on den(Q)Q) and on the same Q as field
+    # elements of Q(s^(1/n)) (den 1) decides every matrix alike: the
+    # solutions of an instance with the same b (the same a, or a + 1, or M
+    # = 2), and their one-entry perturbations
+    q, a, b, big_m = case
+    inst = CountingInstance(q, a, b, big_m=big_m)
+    spec = RadicalFieldSpec(q.n, [inst.s])
+    sym = SymbolicSymMatrix([[spec.from_rational(x) for x in row] for row in q.entries], spec)
+    sym_inst = CountingInstance(sym, a, b, big_m=big_m)
+    src_a, src_m = data.draw(st.sampled_from([(a, big_m), (a + 1, big_m), (a, Fraction(2))]))
+    sols = enum_S(CountingInstance(q, src_a, b, big_m=src_m)).matrices
+    gammas = list(data.draw(st.lists(st.sampled_from(sols), max_size=3))) if sols else []
+    gammas += [_perturbed(g, data) for g in gammas]
+    for g in gammas:
+        assert verify_membership(inst, g) == verify_membership(sym_inst, g)
+    if src_a == a and src_m == big_m:
+        assert all(verify_membership(sym_inst, g) for g in gammas[: len(gammas) // 2])

@@ -10,6 +10,8 @@ from isocount.matrices import (
     IntegerMatrix,
     RationalSymMatrix,
     Region,
+    bilinear,
+    congruence,
     denominator,
     determinantal_divisor,
     determinantal_divisor_oracle,
@@ -17,6 +19,7 @@ from isocount.matrices import (
     is_q_good,
     smith_normal_form,
 )
+from isocount.radicals import FieldElement, RadicalFieldSpec
 from isocount.serialize import (
     integer_matrix_from_json,
     matrix_to_json,
@@ -209,3 +212,31 @@ def test_json_round_trip():
     j = matrix_to_json(q)
     assert j["entries"][0][1] == "1/2"
     assert rational_sym_matrix_from_json(json.loads(json.dumps(j))) == q
+
+
+K3 = RadicalFieldSpec(3, [2])
+ENTRY_KINDS = {
+    "int": st.integers(-5, 5),
+    "fraction": st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+    "cubic": st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(
+        lambda c: FieldElement(K3, dict(zip(K3.monomials(), c)))
+    ),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(ENTRY_KINDS)), n=st.integers(1, 4), data=st.data())
+def test_congruence_is_the_naive_triple_sum(kind, n, data):
+    # G^T A G over Z, Q and Q(2^(1/3)) against sum_kl g_ki a_kl g_lj, and
+    # each entry against bilinear on the columns of G
+    upper = {(i, j): data.draw(ENTRY_KINDS[kind]) for i in range(n) for j in range(i, n)}
+    a = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    g = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    got = congruence(a, g)
+    cols = [[g[k][j] for k in range(n)] for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            naive = sum(g[k][i] * a[k][l] * g[l][j] for k in range(n) for l in range(n))
+            assert got[i][j] == naive
+            assert bilinear(a, cols[i], cols[j]) == naive

@@ -348,3 +348,66 @@ def test_floor_of_exact_integers_and_negatives():
 def test_floor_is_certified(seed, scale, shift):
     x = rand_element(random.Random(seed), K23) * scale + shift
     _assert_floor(x)
+
+
+def test_rational_elements_hash_as_their_value():
+    # all three compare equal, so a set holds one of them (it held three)
+    k3 = RadicalFieldSpec(3, [3])
+    assert len({K2.from_rational(2), k3.from_rational(2), 2}) == 1
+    assert len({Q.from_rational(Fraction(1, 2)), K23.from_rational(Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
+# same degree and primes as K2 (2^(1/3)), other radicands: an equal spec
+K2_AGAIN = RadicalFieldSpec(3, [4])
+HASH_SPECS = (Q, K2, K2_AGAIN, K23, RadicalFieldSpec(2, [2]))
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def representations(draw, value):
+    """value (a Fraction, or coefficients over K2's monomials) as an int,
+    a Fraction or a field element of one of HASH_SPECS."""
+    if isinstance(value, Fraction):
+        kind = draw(st.sampled_from(["plain", "element"]))
+        if kind == "plain":
+            return int(value) if value.denominator == 1 else value
+        return draw(st.sampled_from(HASH_SPECS)).from_rational(value)
+    return FieldElement(draw(st.sampled_from([K2, K2_AGAIN])), value)
+
+
+values = st.one_of(
+    small_fractions,
+    st.lists(small_fractions, min_size=3, max_size=3).map(
+        lambda c: dict(zip(K2.monomials(), c))
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), same=st.booleans())
+def test_equal_elements_hash_equal(data, same):
+    # x == y implies hash(x) == hash(y) across specs and plain numbers; two
+    # representations of one value must compare equal
+    v = data.draw(values)
+    x = data.draw(representations(v))
+    y = data.draw(representations(v if same else data.draw(values)))
+    try:
+        eq = x == y
+    except DomainError:
+        return  # irrational elements of different fields do not compare
+    if same:
+        assert eq
+    if eq:
+        assert hash(x) == hash(y)
+
+
+def test_coerce_lifts_into_a_field_that_contains_the_element():
+    k6 = RadicalFieldSpec(6, [2, 3])
+    r = K2.root_of(2)
+    lifted = k6.coerce(r)
+    assert lifted.spec == k6 and lifted == k6.root_of(4)  # 2^(1/3) = 4^(1/6)
+    assert k6.coerce(r * r + 1) == lifted * lifted + 1
+    for spec in (RadicalFieldSpec(4, [2]), RadicalFieldSpec(3, [3]), Q):
+        with pytest.raises(DomainError):
+            spec.coerce(r)
+    assert Q.coerce(K2.from_rational(5)) == 5
