@@ -42,6 +42,9 @@ def is_prime(n):
 
 MAX_SIEVE = 10 ** 7
 
+# bits of an exact power a caller may build (2^22 bits = 512 kB)
+MAX_POWER_BITS = 2 ** 22
+
 
 def primes_in_range(lo, hi):
     """All primes p with lo <= p <= hi, ascending (segmented sieve).

@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .arith import MAX_POWER_BITS
+from .errors import DomainError, ResourceBudgetError
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,11 @@ def delta_calculator(
     d1, d2, big_m = Fraction(d1), Fraction(d2), Fraction(big_m)
     if d1 < 1 or d2 < 1 or big_m < 1:
         raise DomainError("parameters must be >= 1")
+    sym = n * (n + 1) // 2
+    # the conditions and e_max raise D1 and D2 to powers up to 2 sym + 1
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() - 2 for x in (d1, d2))
+    if (2 * sym + 1) * bits > MAX_POWER_BITS:
+        raise ResourceBudgetError("powers of D1 and D2 beyond %d bits" % MAX_POWER_BITS)
     cond_n = condition_n_holds(n, config, d1, d2, big_m)
     cond_d = condition_d_holds(n, d1, d2)
     if not allow_violations and not (cond_n and cond_d):
@@ -168,7 +174,6 @@ def delta_calculator(
             "parameter conditions violated (condition_n=%s, condition_d=%s)"
             % (cond_n, cond_d)
         )
-    sym = n * (n + 1) // 2
     i_max = sym - 1 if i_max is None else min(i_max, sym - 1)
     k_max = sym - 1 if k_max is None else min(k_max, sym - 1)
     e_min = (d1 * d2) ** 1 * d1 ** 1

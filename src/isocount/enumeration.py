@@ -1,8 +1,10 @@
 """Enumeration of lattice vectors of prescribed norm and of the matrix sets
 cut out by the near-isometry equation plus determinantal-divisor conditions.
 
-The vector enumerator is an exact Fincke-Pohst walk on the rational square
-completion of Q: complete (no misses) and wholly rational.  The matrix
+The vector enumerator is one fraction-free integer Fincke-Pohst walk on
+den(Q)*Q for every Q: Bareiss rows complete the square in integers, so each
+coordinate's range is a closed form in isqrt and floor division, complete
+(no misses) and exact without any correction step.  The matrix
 enumerator extends column by column, ordering columns by candidate count,
 and prunes partial assignments with the pairwise bilinear condition, the
 mod-b minor congruence, and the search box.  Every emitted matrix is
@@ -170,8 +172,9 @@ def enum_norm_vectors(q, t, tol=0, max_entry=DEFAULT_MAX_ENTRY, budget=DEFAULT_B
     """All y in Z^n with |y^T Q y - t| <= tol, sorted lexicographically.
 
     Complete by construction: the search walks the exact square completion
-    of Q, so every coordinate range is certified, with the overall box also
-    bounded through the rational lower bound on the smallest eigenvalue.
+    of den(Q)Q in integers, so every coordinate range is exact, with the
+    overall box also bounded through the rational lower bound on the
+    smallest eigenvalue.
     """
     t = Fraction(t)
     tol = Fraction(tol)
@@ -180,109 +183,85 @@ def enum_norm_vectors(q, t, tol=0, max_entry=DEFAULT_MAX_ENTRY, budget=DEFAULT_B
     return _enum_window(q, t - tol, t + tol, max_entry, budget, None)
 
 
-def _exact_range(c, d, room, seed_lo, seed_hi):
-    """Integers y with d * (y + c)^2 <= room, from seeds that bracket them
-    (seed_lo at or below the range, seed_hi at or above it).
+def _bareiss_rows(a):
+    """Fraction-free elimination without pivoting on a positive definite
+    integer matrix: row k holds m_kj (j >= k) with m_kk = D_(k+1), the
+    leading principal minors, and
 
-    The predicate is kept in product form so integral inputs stay on pure
-    integer arithmetic.
-    """
-    y_lo, y_hi = seed_lo, seed_hi
-    while d * (y_lo + c) * (y_lo + c) > room:
-        y_lo += 1
-        if y_lo > y_hi:
-            return 1, 0
-    while d * (y_lo - 1 + c) * (y_lo - 1 + c) <= room:
-        y_lo -= 1
-    while d * (y_hi + c) * (y_hi + c) > room:
-        y_hi -= 1
-    while d * (y_hi + 1 + c) * (y_hi + 1 + c) <= room:
-        y_hi += 1
-    return y_lo, y_hi
+        y^T A y = sum_k e_k(y)^2 / (D_k D_(k+1)),  e_k(y) = sum_(j>=k) m_kj y_j,
 
-
-def _seeds(c, d, room):
-    """floor(-c) - r - 1 and ceil(-c) + r + 1 with r = isqrt(floor(room/d)),
-    so |y + c| <= sqrt(room/d) < r + 1 lies strictly between them; exact."""
-    r = math.isqrt(room // d)
-    return math.floor(-c) - r - 1, math.ceil(-c) + r + 1
-
-
-def _band_solutions(c, d, room_lo, room_hi):
-    """Integers y with room_lo <= d * (y + c)^2 <= room_hi.
-
-    Walks the two symmetric bands only, so an exact equation costs O(1)
-    instead of a scan across the whole admissible segment.
-    """
-    if room_hi < 0:
-        return []
-    if room_lo <= 0:
-        y_lo, y_hi = _exact_range(c, d, room_hi, *_seeds(c, d, room_hi))
-        return list(range(y_lo, y_hi + 1))
-    outer_lo, outer_hi = _seeds(c, d, room_hi)
-    inner_lo, inner_hi = _seeds(c, d, room_lo)
-    # y + c <= -sqrt(room_lo/d) puts y at or below inner_lo + 1, and
-    # y + c >= sqrt(room_lo/d) at or above inner_hi - 1
-    bands = (range(outer_lo, inner_lo + 2), range(inner_hi - 1, outer_hi + 1))
-    return [y for band in bands for y in band if room_lo <= d * (y + c) * (y + c) <= room_hi]
+    with D_0 = 1.  The verifier's determinants go through `_int_det`, not
+    through this pass."""
+    n = len(a)
+    m = [list(r) for r in a]
+    prev = 1
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return m
 
 
 def _enum_window(q, lo, hi, max_entry, budget, counter):
+    """All y with lo <= y^T Q y <= hi, sorted; the walk runs on the integer
+    identity S y^T den(Q)Q y = sum_k w_k e_k(y)^2 (see _bareiss_rows), with
+    S = lcm_k(D_k D_(k+1)) and w_k = S / (D_k D_(k+1)), so every level's
+    range is a closed form in integers."""
     if hi < 0:
         return []
-    lam = q.lambda_min_lower_bound()
-    box = math.isqrt(int(hi / lam)) + 1
+    n = q.n
+    m = _bareiss_rows(q.tilde.rows)
+    minors = [1] + [m[k][k] for k in range(n)]
+    # |y_i|^2 <= hi / lambda_min(Q), and lambda_min >= det(Q) / tr(Q)^(n-1)
+    # (lambda_max <= tr), which is D_n / (den tr(den Q)^(n-1))
+    tr = sum(q.tilde.rows[k][k] for k in range(n))
+    box = math.isqrt(q.den * tr ** (n - 1) * Fraction(hi) // minors[n]) + 1
     if box > max_entry:
         raise ResourceBudgetError(
             "search box %d exceeds the configured entry bound %d" % (box, max_entry)
         )
-    n = q.n
-    d, u = q.ldl()
-    off_diag = any(u[i][j] for i in range(n) for j in range(i + 1, n))
-    if (
-        all(x.denominator == 1 for x in d)
-        and not off_diag
-        and Fraction(lo).denominator == 1
-        and Fraction(hi).denominator == 1
-    ):
-        # diagonal integral form: run the walk on plain ints
-        d = [int(x) for x in d]
-        u = [[0] * n for _ in range(n)]
-        lo, hi = int(lo), int(hi)
-        zero = 0
-    else:
-        zero = Fraction(0)
+    scale = math.lcm(*(minors[k] * minors[k + 1] for k in range(n)))
+    w = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
+    lo = -scale * ((-q.den * Fraction(lo)) // 1)
+    hi = scale * ((q.den * Fraction(hi)) // 1)
     out = []
     nodes = [0]
 
     def descend(i, suffix, partial):
-        # suffix holds y_{i+1..n-1}; partial = sum_{k>i} d_k (y_k + c_k)^2
-        c = zero
+        # suffix holds y_{i+1..n-1}, partial = sum_{k>i} w_k e_k^2, and
+        # e_i = b y + c with b = D_(i+1) > 0
+        row = m[i]
+        c = 0
         for j in range(i + 1, n):
-            uij = u[i][j]
-            if uij:
-                c += uij * suffix[j - i - 1]
+            if row[j]:
+                c += row[j] * suffix[j - i - 1]
+        b = row[i]
         room = hi - partial
         if room < 0:
             return
+        # w e^2 <= room iff |e| <= r, since e is an integer
+        r = math.isqrt(room // w[i])
+        ys = range(-((c + r) // b), (r - c) // b + 1)
         if i == 0:
-            # last coordinate: solve the band exactly instead of scanning
-            for y in _band_solutions(c, d[0], lo - partial, room):
-                nodes[0] += 1
-                out.append((y,) + suffix)
+            # last coordinate: w e^2 >= lo - partial adds |e| >= r_in
+            need = -((partial - lo) // w[0])
+            if need > 0:
+                r_in = math.isqrt(need - 1) + 1
+                ys = [*range(ys.start, (-r_in - c) // b + 1), *range(-((c - r_in) // b), ys.stop)]
+            nodes[0] += len(ys)
+            out.extend((y,) + suffix for y in ys)
             if nodes[0] > budget:
                 raise ResourceBudgetError("norm-vector enumeration budget exhausted")
             return
-        di = d[i]
-        y_lo, y_hi = _exact_range(c, di, room, *_seeds(c, di, room))
-        for y in range(y_lo, y_hi + 1):
+        for y in ys:
             nodes[0] += 1
             if nodes[0] > budget:
                 raise ResourceBudgetError("norm-vector enumeration budget exhausted")
-            step = c + y
-            descend(i - 1, (y,) + suffix, partial + di * step * step)
+            e = b * y + c
+            descend(i - 1, (y,) + suffix, partial + w[i] * e * e)
 
-    descend(n - 1, (), zero)
+    descend(n - 1, (), 0)
     if counter is not None:
         counter[0] += nodes[0]
     return sorted(out)

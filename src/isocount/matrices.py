@@ -442,23 +442,8 @@ class RationalSymMatrix:
         return Fraction(bilinear(self.entries, x, y))
 
     def ldl(self):
-        """Exact Q = U^T diag(d) U with U unit upper triangular.
-
-        Returns (d, u) where d is a list of positive Fractions and u is an
-        upper triangular list-of-lists with unit diagonal; used by the
-        lattice enumeration to complete squares.
-        """
+        """(d, u) with Q = U^T diag(d) U, U unit upper triangular; see `ldl`."""
         return ldl(self.entries)
-
-    def lambda_min_lower_bound(self):
-        """Certified rational lower bound on the smallest eigenvalue.
-
-        det(Q) / trace(Q)^(n-1) works because lambda_max <= trace for a PD
-        matrix; crude but rational and safe.
-        """
-        d = det(self.entries)
-        tr = sum(self.entries[i][i] for i in range(self.n))
-        return d / tr ** (self.n - 1)
 
 
 def ldl(rows):

@@ -19,8 +19,8 @@ from fractions import Fraction
 from mpmath import iv
 from mpmath.libmp import round_floor, to_int
 
-from .arith import factorize, factorize_fraction
-from .errors import DomainError, PrecisionExhausted, ZeroKernel
+from .arith import MAX_POWER_BITS, factorize, factorize_fraction
+from .errors import DomainError, PrecisionExhausted, ResourceBudgetError, ZeroKernel
 from .intervals import (
     PREC_CAP,
     START_PREC,
@@ -143,13 +143,18 @@ class RadicalFieldSpec:
         """(base^power)^(1/n) for a positive rational base and integer power.
 
         Works on the factorization of base, so huge or tiny powers never
-        materialize base**power as an explicit rational.
+        materialize base**power as an explicit rational.  The coefficient
+        prod p^floor(a power / n) is charged to MAX_POWER_BITS before it is
+        built: ResourceBudgetError beyond it.
         """
         base = Fraction(base)
         n = self.degree
+        factors = factorize_fraction(base).items()
+        if sum(abs(a * power) // n * p.bit_length() for p, a in factors) > MAX_POWER_BITS:
+            raise ResourceBudgetError("a power root beyond %d bits" % MAX_POWER_BITS)
         coeff = Fraction(1)
         expo = [0] * len(self.primes)
-        for p, a in factorize_fraction(base).items():
+        for p, a in factors:
             q, r = divmod(a * power, n)
             coeff *= Fraction(p) ** q
             if r == 0:
@@ -634,18 +639,6 @@ def vec_dot(u, v):
     return acc
 
 
-def vec_scale(u, c):
-    return tuple(x * c for x in u)
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_is_zero(u):
-    return all(x.is_zero() for x in u)
-
-
 def gram_schmidt(vectors, spec=None):
     """Orthogonalize K-linearly independent vectors, exactly.
 
@@ -662,8 +655,8 @@ def gram_schmidt(vectors, spec=None):
         acc = u
         for w in out:
             coef = vec_dot(acc, w) / vec_dot(w, w)
-            acc = vec_sub(acc, vec_scale(w, coef))
-        if vec_is_zero(acc):
+            acc = tuple(a - coef * b for a, b in zip(acc, w))
+        if not any(acc):
             raise DomainError("dependent input vector in gram_schmidt")
         out.append(acc)
     return out

@@ -22,6 +22,7 @@ from .matrices import Region
 from .primes import good_prime_set, residue_system
 from .serialize import dumps, fraction_to_str
 from .xchg import (
+    DEFAULT_PAIR_BUDGET,
     default_pairs,
     find_q_prime,
     intersect_kernels,
@@ -163,7 +164,7 @@ def outer_chain(
     budget=10 ** 8,
     workers=1,
     cache=None,
-    pair_budget=20000,
+    pair_budget=DEFAULT_PAIR_BUDGET,
 ):
     """Chain of kernel intersections over the growing intervals
     [L, 2 L^(D1^j D2^(j+1))]; stops at the first level whose subspace
@@ -176,7 +177,7 @@ def outer_chain(
 
     def level_pairs(j, levels):
         window = interval_of(l_param, d1 ** j * d2 ** (j + 1))
-        return window, default_pairs(*window, n, nu_values)
+        return window, default_pairs(*window, n, nu_values, pair_budget)
 
     return _stabilize("outer", q, region, cache, pair_budget, level_pairs)
 
@@ -191,7 +192,7 @@ def inner_chain(
     workers=1,
     big_m=None,
     cache=None,
-    pair_budget=20000,
+    pair_budget=DEFAULT_PAIR_BUDGET,
 ):
     """The rational-field chain inside the stabilized scale.
 
@@ -373,7 +374,7 @@ def proposition_driver(
     level=1,
     pair_cap=64,
     verify_budget=10 ** 7,
-    pair_budget=20000,
+    pair_budget=DEFAULT_PAIR_BUDGET,
 ):
     """Run both chains and verify the per-pair bounds in the final window.
 

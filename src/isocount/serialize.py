@@ -7,7 +7,7 @@ are serialized as decimal strings with a precision tag (see intervals).
 import json
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceBudgetError
 from .matrices import IntegerMatrix, RationalSymMatrix
 
 SCHEMA = 1
@@ -25,6 +25,11 @@ def fraction_from_str(s):
         return Fraction(s)
     if isinstance(s, str):
         s = s.strip()
+        _, sep, expo = s.lower().partition("e")
+        digits = expo.lstrip("+-").replace("_", "")
+        # Fraction would build 10^|k|, at least 3.3 Mbit for a 7-digit k
+        if sep and digits.isdigit() and len(digits.lstrip("0")) > 6:
+            raise ResourceBudgetError("the exponent of the rational literal %r is too large" % s)
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as e:

@@ -14,6 +14,7 @@ from . import bounds, congruences, enumeration, primes, radicals, recursion, xch
 from .matrices import (
     IntegerMatrix,
     RationalSymMatrix,
+    congruence,
     determinantal_divisor,
     determinantal_divisor_oracle,
     determinantal_divisors,
@@ -162,6 +163,21 @@ def _check_enumeration(rng):
         if got != box:
             ok = False
     checks = [("norm_vector_box_oracle", ok, "25 random targets")]
+    # GL3(Z) invariance: U maps the vectors of U^T Q U onto those of Q
+    q = RationalSymMatrix([["2", "1/2", 0], ["1/2", "3/2", "1/3"], [0, "1/3", 1]])
+    u = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(6):
+        i, j = rng.sample(range(3), 2)
+        k = rng.choice([-2, -1, 1, 2])
+        for row in u:
+            row[j] += k * row[i]
+    qu = RationalSymMatrix(congruence(q.entries, u))
+    ts = [Fraction(rng.randint(1, 60), 6) for _ in range(3)]
+    want = [enumeration.enum_norm_vectors(q, t, 1) for t in ts]
+    got = [sorted(tuple(sum(a * b for a, b in zip(row, y)) for row in u)
+                  for y in enumeration.enum_norm_vectors(qu, t, 1)) for t in ts]
+    found = sum(map(len, want))
+    checks.append(("gl_invariance", got == want, "U = %s, %d vectors in 3 windows" % (u, found)))
     i3 = RationalSymMatrix.identity(3)
     ss = enumeration.enum_S(enumeration.CountingInstance(i3, 3, 3))
     checks.append(("unit_instance_count", ss.count == 192, str(ss.count)))

@@ -25,6 +25,7 @@ from .errors import (
     InternalConsistencyError,
     NoPointFound,
     PreconditionFailed,
+    ResourceBudgetError,
     ZeroKernel,
 )
 from .matrices import (
@@ -418,10 +419,18 @@ class ExchangeReport:
         }
 
 
-def default_pairs(low, high, n, nu_values=None):
-    """All ordered prime pairs from [low, high] with the given nu range."""
+DEFAULT_PAIR_BUDGET = 20000
+
+
+def default_pairs(low, high, n, nu_values=None, pair_budget=DEFAULT_PAIR_BUDGET):
+    """All ordered prime pairs from [low, high] with the given nu range;
+    ResourceBudgetError before the list is built if it would hold more
+    than pair_budget pairs."""
     primes = primes_in_range(low, high)
     nus = list(nu_values) if nu_values else list(range(1, n + 1))
+    size = len(primes) ** 2 * len(nus)
+    if size > pair_budget:
+        raise ResourceBudgetError("%d pairs exceed the budget of %d" % (size, pair_budget))
     return [(p, q, nu) for p in primes for q in primes for nu in nus]
 
 

@@ -20,6 +20,16 @@ def box_norm_vectors(q, t_lo, t_hi, box):
     return sorted(out)
 
 
+def exact_box(q, hi):
+    """max_i floor(sqrt(hi (Q^-1)_ii)) + 1: y^T Q y <= hi forces
+    y_i^2 <= hi (Q^-1)_ii, by Cauchy-Schwarz in the inner product of Q."""
+    rows = [list(r) for r in q.entries]
+    d = _det(rows)
+    cofactors = [_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != i])
+                 for i in range(q.n)]
+    return max(math.isqrt(math.floor(max(hi, 0) * c / d)) + 1 for c in cofactors)
+
+
 def box_norm_vectors_np(t, box):
     """Identity-form box scan via numpy (n = 3 only)."""
     rng = np.arange(-box, box + 1)
@@ -70,9 +80,8 @@ def enum_S_oracle(q, a, b):
             break
     if t is None:
         return []
-    lam = q.lambda_min_lower_bound()
     targets = [t * q[j, j] for j in range(n)]
-    box = math.isqrt(int(max(targets) / lam)) + 1
+    box = exact_box(q, max(targets))
     cands = [
         box_norm_vectors(q, tj, tj, box) for tj in targets
     ]

@@ -337,12 +337,30 @@ def test_count_cli_with_pivots_below_the_float_range(tmp_path, capsys):
         ["qgood", "--from", "2", "--to", str(10 ** 29)],
         # [3, 2 * 3^100] overflowed the sieve's bytearray
         ["exchange", "--L", "3", "--D", "100", "--threads", "1"],
+        # the 82k primes of [3, 2 * 3^12] give 2 * 10^10 pairs, which were
+        # listed before any pair budget was checked
+        ["exchange", "--L", "3", "--D", "12", "--threads", "1"],
     ],
 )
 def test_sieve_beyond_its_budget_exits_2(identity3_file, capsys, command):
     rc, out, err = run_cli(command[:1] + ["--q", identity3_file] + command[1:], capsys)
     assert rc == 2 and out == ""
     assert err.startswith("resource error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m, code", [("1000000000000", 2), ("100000", 0)])
+def test_error_threshold_within_its_budget(tmp_path, capsys, m, code):
+    # C s^((2-M)/n) grows linearly in M: M = 10^12 needed about 2 * 10^12
+    # bits, M = 10^5 about 2 * 10^5
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"q": {"entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                                "a": 3, "b": 3, "m": m}))
+    rc, out, err = run_cli(["count", "--instance", str(path), "--threads", "1"], capsys)
+    assert rc == code, err
+    if code:
+        assert err.startswith("resource error: ") and out == ""
+    else:
+        assert json.loads(out)["count"] == 192
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,6 +383,64 @@ def test_qgood_cli_exit_code_on_extreme_input(lo, hi, coprime):
     else:
         assert rc == 0
         assert all(lo <= p <= hi for p in json.loads(out.getvalue())["primes"])
+
+
+def run_in_process(args):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(args)
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.getvalue().startswith(("usage: ", "error: ", "resource error: "))
+    return rc
+
+
+@st.composite
+def detdiv_files(draw):
+    n = draw(st.integers(0, 9))
+    # one malformed entry in about n^2 / 40; entries stay below 10^13,
+    # since the Smith form slows down sharply on far larger ones
+    entry = st.sampled_from(range(40)).flatmap(
+        lambda k: st.one_of(json_junk, rational_texts) if k == 0
+        else st.one_of(st.integers(-10, 10), st.sampled_from(["1000000", str(10 ** 12)])))
+    entries = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    out = {"entries": draw(mostly(st.just(entries)))}
+    if draw(st.booleans()):
+        out["n"] = draw(mostly(st.integers(0, 9)))
+    return draw(mostly(st.just(out)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=detdiv_files())
+def test_detdiv_cli_exit_code_on_malformed_input(matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w") as fh:
+            json.dump(matrix, fh)
+        run_in_process(["detdiv", "--matrix", path])
+
+
+delta_values = st.one_of(
+    rational_texts,
+    st.sampled_from(["0", "-1", "1", "3/2", "2", "1/0", "x", "", "1e400", "1e-400",
+                     "1e100000000000"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.integers(-3, 12), st.sampled_from([10 ** 3, 10 ** 6, 10 ** 30])),
+    d1=st.none() | delta_values,
+    d2=st.none() | delta_values,
+    m=st.none() | delta_values,
+    allow=st.booleans(),
+)
+def test_delta_cli_exit_code_on_extreme_input(n, d1, d2, m, allow):
+    args = ["delta", "--n", str(n)]
+    for flag, value in (("--d1", d1), ("--d2", d2), ("--m", m)):
+        if value is not None:
+            args += [flag, value]
+    run_in_process(args + ["--allow-violations"] * allow)
 
 
 def test_chain_cli_rejects_fractional_d1_d2(tmp_path, capsys):

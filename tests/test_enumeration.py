@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isocount.enumeration import (
     CountingInstance,
@@ -21,7 +21,7 @@ from isocount.errors import DomainError, ResourceBudgetError
 from isocount.matrices import IntegerMatrix, RationalSymMatrix
 from isocount.radicals import RadicalFieldSpec
 
-from oracles import box_norm_vectors, enum_S_oracle, solution_set_flat
+from oracles import box_norm_vectors, enum_S_oracle, exact_box, solution_set_flat
 
 I2 = RationalSymMatrix.identity(2)
 I3 = RationalSymMatrix.identity(3)
@@ -55,6 +55,36 @@ def test_norm_vectors_window():
     assert got == box_norm_vectors(Q21, 47, 53, 15)
     got = enum_norm_vectors(Q21, Fraction(49, 2), Fraction(1, 2))
     assert got == box_norm_vectors(Q21, 24, 25, 15)
+
+
+@st.composite
+def off_diagonal_windows(draw):
+    """A positive definite rational Q with an off-diagonal entry, a
+    fractional window and the exact box |y_i| <= sqrt(hi (Q^-1)_ii)."""
+    n = draw(st.sampled_from([2, 3]))
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Fraction(draw(st.integers(1, 3 * den)), den)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = Fraction(draw(st.integers(-2 * den, 2 * den)), den)
+    assume(any(rows[i][j] for i in range(n) for j in range(i + 1, n)))
+    try:
+        q = RationalSymMatrix(rows)
+    except DomainError:
+        assume(False)
+    t = Fraction(draw(st.integers(0, 40)), draw(st.sampled_from([1, 2, 3, 5, 7])))
+    tol = Fraction(draw(st.integers(0, 6)), draw(st.sampled_from([1, 2, 4, 7])))
+    box = exact_box(q, t + tol)
+    assume(box <= (6 if n == 3 else 20))
+    return q, t, tol, box
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=off_diagonal_windows())
+def test_norm_vectors_box_oracle_off_diagonal(case):
+    q, t, tol, box = case
+    assert enum_norm_vectors(q, t, tol) == box_norm_vectors(q, t - tol, t + tol, box)
 
 
 @given(st.integers(0, 200))
