@@ -173,9 +173,7 @@ def cmd_qgood(args):
 
 def cmd_exchange(args):
     q = rational_sym_matrix_from_json(read_json(args.q))
-    pairs = None
-    if args.pairs:
-        pairs = [tuple(p) for p in read_json(args.pairs)["pairs"]]
+    pairs = _pairs_from_json(args.pairs, q.n) if args.pairs else None
     rep = exchange_step(
         q,
         fraction_from_str(args.l_param),
@@ -187,6 +185,19 @@ def cmd_exchange(args):
         workers=args.threads,
     )
     _emit(rep.to_json(), args.out)
+
+
+def _pairs_from_json(path, n):
+    """The [p, q, nu] rows of a pairs file: integers p, q >= 2, 1 <= nu <= n."""
+    pairs = []
+    for row in _json_list(_json_object(path, "pairs").get("pairs"), "pairs"):
+        if not isinstance(row, list) or len(row) != 3:
+            raise DomainError("a pair is [p, q, nu], got %r" % (row,))
+        p, q, nu = (_json_int(x, "a pair entry") for x in row)
+        if p < 2 or q < 2 or not 1 <= nu <= n:
+            raise DomainError("a pair needs p, q >= 2 and 1 <= nu <= %d, got %r" % (n, row))
+        pairs.append((p, q, nu))
+    return pairs
 
 
 def cmd_chain(args):

@@ -731,10 +731,15 @@ def kernel_basis_bounded(rows, spec=None):
         raise DomainError("kernel_basis_bounded needs the ambient dimension from rows")
     if spec is None:
         spec = _find_spec(rows)
-    m = len(rows[0])
     ech = Echelon()
     for row in coerce_vectors(spec, rows):
         ech.add(row)
+    return echelon_kernel_basis(ech, len(rows[0]), spec)
+
+
+def echelon_kernel_basis(ech, m, spec):
+    """The integral kernel basis of kernel_basis_bounded, read off an
+    Echelon of rows of length m whose entries lie in spec."""
     red, pivots = ech.rref()
     if len(pivots) == m:
         raise ZeroKernel("generators span the whole space")
@@ -744,7 +749,7 @@ def kernel_basis_bounded(rows, spec=None):
         y = [spec.zero()] * m
         y[f] = spec.one()
         for i, p in enumerate(pivots):
-            y[p] = -red[i][f]
+            y[p] = -spec.coerce(red[i][f])
         scale = math.lcm(*(x.denominator_lcm() for x in y))
         y = tuple(x * scale for x in y)
         basis.append(y)

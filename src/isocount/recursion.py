@@ -225,13 +225,19 @@ def inner_chain(
                                 "allowed": sorted(system.allowed)},
                 "good_primes": primes,
             }
-        fresh = [
-            (p, qq, nu)
-            for p in primes
-            for qq in primes
-            for nu in nus
-            if target_is_integral(p, qq, nu, n)
-        ]
+        fresh = []
+        for nu in nus:
+            # q != p has an integral target only when n divides 2 nu
+            for p in primes:
+                for qq in primes if (2 * nu) % n == 0 else (p,):
+                    fresh.append((p, qq, nu))
+                    # fresh lies inside the level's pair set: stop before
+                    # listing more than _stabilize would accept
+                    if len(fresh) > pair_budget:
+                        raise ResourceBudgetError(
+                            "inner level %d holds more than its budget of %d pairs"
+                            % (j, pair_budget)
+                        )
         entry["fresh_pairs"] = len(fresh)
         filter_history.append(entry)
         pool = set(levels[-1].pairs) if levels else set()

@@ -13,11 +13,39 @@ from .matrices import IntegerMatrix, RationalSymMatrix
 SCHEMA = 1
 
 
+# str() of an int refuses more than sys.get_int_max_str_digits() digits,
+# which is never below 640; longer ints are printed in blocks of 600 digits
+DIGIT_BLOCK = 600
+_BLOCK = 10 ** DIGIT_BLOCK
+
+
+def int_to_str(k):
+    """Decimal text of any int, split at the powers 10^(600 * 2^j)."""
+    if k < 0:
+        return "-" + int_to_str(-k)
+    if k < _BLOCK:
+        return str(k)
+    powers = [_BLOCK]
+    while powers[-1] ** 2 <= k:
+        powers.append(powers[-1] ** 2)
+
+    def digits(x, level):  # x < powers[level]^2
+        if level < 0:
+            return str(x)
+        hi, lo = divmod(x, powers[level])
+        low = digits(lo, level - 1)
+        if not hi:
+            return low
+        return digits(hi, level - 1) + low.zfill(DIGIT_BLOCK << level)
+
+    return digits(k, len(powers) - 1)
+
+
 def fraction_to_str(x):
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+        return int_to_str(x.numerator)
+    return "%s/%s" % (int_to_str(x.numerator), int_to_str(x.denominator))
 
 
 def fraction_from_str(s):

@@ -11,8 +11,11 @@ containment that justifies the exchange is re-verified here by direct
 membership of every enumerated matrix.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .enumeration import (
     CountingInstance,
@@ -41,11 +44,15 @@ from .radicals import (
     FieldElement,
     RadicalFieldSpec,
     coerce_vectors,
+    echelon_kernel_basis,
     gram_schmidt,
     kernel_basis_bounded,
     vec_dot,
 )
-from .arith import factorize, interval_of, iroot, primes_in_range
+from .arith import interval_of, iroot, primes_in_range
+
+
+RATIONALS = RadicalFieldSpec(1, ())
 
 
 def sym_index_pairs(n):
@@ -66,8 +73,8 @@ def vec_to_sym(vec, n):
 
 
 def scalar_root_is_rational(m, n):
-    """m^(1/n) rational <=> every prime exponent of m is divisible by n."""
-    return all(e % n == 0 for e in factorize(m).values())
+    """m^(1/n) is rational exactly when the integer m is a perfect n-th power."""
+    return iroot(m, n)[1]
 
 
 @dataclass(frozen=True)
@@ -183,32 +190,133 @@ def full_sym_subspace(n):
     return SymSubspace(n=n, spec=spec, generator_rows=(), provenance=(), basis=tuple(basis))
 
 
+# the batched kernel-side test forms gamma^T K gamma - s K in int64 for at
+# most BATCH matrices at a time
+INT64_MAX = 2 ** 63 - 1
+BATCH = 4096
+
+
+def fits_int64(n, gmax, kmax, s):
+    """True when gamma^T K gamma - s K is formed exactly in int64 for every
+    n x n gamma with entries at most gmax and symmetric K with entries at
+    most kmax in absolute value.  Each entry of gamma^T K gamma is a sum of
+    n^2 products of size at most gmax^2 kmax (the entries of gamma^T K
+    stay below n gmax kmax) and s K adds |s| kmax, so every product and
+    partial sum is at most kmax (n^2 gmax^2 + |s|)."""
+    return kmax * (n * n * gmax * gmax + abs(s)) <= INT64_MAX
+
+
+def _int64_stack(gammas):
+    """(int64 array of the gammas, largest |entry|); (None, 2^63) when an
+    entry lies outside int64, which no fits_int64 bound admits."""
+    try:
+        arr = np.array([gamma.rows for gamma in gammas], dtype=np.int64)
+    except OverflowError:
+        return None, 2 ** 63
+    return arr, max(int(arr.max()), -int(arr.min()))
+
+
+class _GreedySelection:
+    """The greedy scan: the rows kept so far, their Echelon, and an integral
+    basis of their common kernel.
+
+    A row depends on the kept rows exactly when it annihilates every kernel
+    vector, so only an independent row reaches the elimination.  The kernel
+    starts as the unit vectors and is rebuilt after each kept row (at most
+    n(n+1)/2 times); its entries are plain ints while every kept row is
+    rational and elements of the rows' field after that.
+    """
+
+    def __init__(self, n, spec=None):
+        self.n = n
+        self.sym_dim = n * (n + 1) // 2
+        self.spec = spec
+        self.ech = Echelon()
+        self.rows = []
+        self.labels = []
+        self.kernel = [tuple(int(i == j) for j in range(self.sym_dim))
+                       for i in range(self.sym_dim)]
+        self.int_kernel = True
+
+    @property
+    def full(self):
+        return len(self.rows) == self.sym_dim
+
+    def offer(self, row, label):
+        """Keep row when it is independent of the rows kept so far."""
+        row = tuple(row)
+        if not any(sum(a * b for a, b in zip(row, k) if b) for k in self.kernel):
+            return
+        if not self.ech.add(row):
+            raise InternalConsistencyError("a row off the kernel left the rank unchanged")
+        self.rows.append(row)
+        self.labels.append(label)
+        if self.full:
+            self.kernel = []
+            return
+        irrational = [x for x in row if isinstance(x, FieldElement) and not x.is_rational()]
+        if irrational and self.int_kernel:
+            self.int_kernel = False
+            if self.spec is None:
+                self.spec = irrational[0].spec
+        if self.int_kernel:
+            basis = echelon_kernel_basis(self.ech, self.sym_dim, RATIONALS)
+            self.kernel = [tuple(x.rational_value().numerator for x in k) for k in basis]
+        else:
+            self.kernel = echelon_kernel_basis(self.ech, self.sym_dim, self.spec)
+
+    def offer_chunk(self, chunk, s):
+        """Offer the rows of every (gamma, m, label) in chunk, all at the
+        scale s, in order.  While s and the kernel are integers and
+        fits_int64 holds, one numpy pass finds the first gamma with a row
+        off the kernel; only that gamma's rows are built and offered."""
+        arr = gmax = None
+        i = 0
+        while i < len(chunk) and not self.full:
+            if isinstance(s, int) and self.int_kernel:
+                if gmax is None:
+                    arr, gmax = _int64_stack([gamma for gamma, _, _ in chunk])
+                kmax = max(abs(x) for k in self.kernel for x in k)
+                if fits_int64(self.n, gmax, kmax, s):
+                    i = self._first_live(arr, i, s)
+                    if i == len(chunk):
+                        return
+            gamma, _, label = chunk[i]
+            for ridx, row in enumerate(_operator_rows(gamma, s)):
+                self.offer(row, (label, gamma, ridx))
+            i += 1
+
+    def _first_live(self, arr, start, s):
+        """Index of the first gamma in arr[start:] whose operator leaves some
+        kernel vector alive, or len(arr).  Row (i, j) of the operator dotted
+        with k is entry (i, j) of gamma^T K gamma - s K, K = vec_to_sym(k)."""
+        g = arr[start:]
+        gt = g.transpose(0, 2, 1)
+        live = np.zeros(len(g), dtype=bool)
+        for k in self.kernel:
+            kmat = np.array(vec_to_sym(k, self.n), dtype=np.int64)
+            live |= (gt @ kmat @ g - s * kmat).any(axis=(1, 2))
+        hits = np.flatnonzero(live)
+        return start + int(hits[0]) if len(hits) else len(arr)
+
+
 def select_generators(rows_with_labels, n):
     """Greedy minimal independent row set, in the order given.
 
     rows_with_labels: iterable of (row, label) with exact entries (ints,
-    Fractions or field elements); returns (selected rows, labels).  Repeated
-    rows are skipped before elimination.  The greedy scan order (pairs
-    sorted, matrices in lexicographic order, row index) makes the selection
-    deterministic.
+    Fractions or field elements); returns (selected rows, labels).  A row is
+    kept exactly when it is independent of the rows kept before it, which
+    is decided by the kernel-side test of _GreedySelection: a row that
+    annihilates an integral basis of the kept rows' kernel is skipped
+    without elimination.  The greedy scan order (pairs sorted, matrices in
+    lexicographic order, row index) makes the selection deterministic.
     """
-    sym_dim = n * (n + 1) // 2
-    ech = Echelon()
-    selected = []
-    labels = []
-    seen = set()
+    sel = _GreedySelection(n)
     for row, label in rows_with_labels:
-        row = tuple(row)
-        if row in seen:
-            continue
-        seen.add(row)
-        if not ech.add(row):
-            continue
-        selected.append(row)
-        labels.append(label)
-        if len(selected) == sym_dim:
+        sel.offer(row, label)
+        if sel.full:
             break
-    return selected, labels
+    return sel.rows, sel.labels
 
 
 def intersect_kernels(contributions, n, spec=None):
@@ -216,9 +324,12 @@ def intersect_kernels(contributions, n, spec=None):
 
     contributions: iterable of (gamma, m, label); empty input returns the
     full symmetric space.  Operators are stacked row by row and a minimal
-    generating set is kept; the kernel basis is integral and each basis
-    vector is re-verified against every selected generator.  Rows stay ints
-    wherever the scale m^(1/n) is rational, so the elimination runs on plain
+    generating set is kept by the greedy scan of select_generators, run on
+    one block of consecutive contributions with one m at a time so that the
+    kernel-side test is batched on numpy wherever it provably fits in
+    int64; the kernel basis is integral and each basis vector is
+    re-verified against every selected generator.  Rows stay ints wherever
+    the scale m^(1/n) is rational, so the elimination runs on plain
     rationals until an irrational scale enters.
     """
     contributions = list(contributions)
@@ -231,13 +342,13 @@ def intersect_kernels(contributions, n, spec=None):
                 rad.append(m)
         spec = RadicalFieldSpec(n, rad)
 
-    def row_stream():
-        for gamma, m, label in contributions:
-            rows = _operator_rows(gamma, _scale_root(m, n, spec))
-            for ridx, row in enumerate(rows):
-                yield row, (label, gamma, ridx)
-
-    selected, labels = select_generators(row_stream(), n)
+    sel = _GreedySelection(n, spec)
+    for m, block in itertools.groupby(contributions, key=lambda c: c[1]):
+        block = list(block)
+        s = _scale_root(m, n, spec)
+        for lo in range(0, len(block), BATCH):
+            sel.offer_chunk(block[lo:lo + BATCH], s)
+    selected, labels = sel.rows, sel.labels
     selected = coerce_vectors(spec, selected)
     if not selected:
         return full_sym_subspace(n)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -524,3 +525,119 @@ def test_count_exact_flag_overrides_m(tmp_path, identity3_file, capsys):
     payload = json.loads(out)
     assert payload["count"] == 192
     assert payload["instance"]["m"] == "inf"
+
+
+def test_delta_cli_prints_values_beyond_the_int_string_limit(capsys):
+    # D1 = 10^400 gives an eta with more than 4300 digits, which str()
+    # refused: "Exceeds the limit (4300 digits) for integer string conversion"
+    from isocount.bounds import delta_calculator
+
+    d1 = "1" + "0" * 400
+    rc, out, err = run_cli(
+        ["delta", "--n", "3", "--d1", d1, "--d2", "2", "--m", "2", "--allow-violations"],
+        capsys,
+    )
+    assert rc == 0, err
+    res = delta_calculator(3, d1=10 ** 400, d2=2, big_m=2, allow_violations=True)
+    payload = json.loads(out)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for key in ("eta", "delta_squared_side", "delta", "e_min", "e_max"):
+            assert Fraction(payload[key]) == getattr(res, key)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(payload["eta"]) > 4300
+
+
+def usually(good, *bad):
+    """One of the good values three times in four, one of the bad otherwise."""
+    return st.sampled_from(range(4)).flatmap(
+        lambda k: st.sampled_from(bad) if k == 3 else st.sampled_from(good))
+
+
+# forms and parameters of the exchange and chain commands: small intervals,
+# tiny budgets and at most two worker processes keep every example short
+exchange_forms = usually(
+    [[["1", "0"], ["0", "1"]], [[2, 1], [1, 3]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+    [[1]],
+    [[1, 2], [2, 1]],  # not positive definite
+    [[1, 0], [1, 1]],  # not symmetric
+    [],
+)
+small_l = usually(["3", "5"], "2", "1", "0", "-3", "3/2", "x", "1e400")
+small_d = usually(["1", "3/2", "2"], "0", "-1", "100", "1/0")
+big_m_texts = usually(["inf", "4"], "3/2", "0", "-1", "x")
+nu_texts = usually(["1", "1,2", "3"], "0", "9", "x", ",", "-1")
+budget_texts = usually(["1", "100", "3000"], "0", "-5", "x")
+threads = st.sampled_from(["1", "2"])
+
+
+def write_form(tmp, form):
+    path = os.path.join(tmp, "q.json")
+    with open(path, "w") as fh:
+        json.dump(form, fh)
+    return path
+
+
+@st.composite
+def exchange_args(draw):
+    args = ["--L", draw(small_l), "--D", draw(small_d), "--M", draw(big_m_texts),
+            "--budget", draw(budget_texts), "--threads", draw(threads)]
+    if draw(st.booleans()):
+        args += ["--nu", draw(nu_texts)]
+    pairs = draw(st.none() | mostly(st.fixed_dictionaries({
+        "pairs": st.lists(st.lists(st.one_of(st.sampled_from([2, 3, 5]), json_junk),
+                                   min_size=2, max_size=4), max_size=3)})))
+    return args, pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(form=mostly(st.fixed_dictionaries({"entries": exchange_forms})), extra=exchange_args())
+def test_exchange_cli_exit_code_on_extreme_input(form, extra):
+    args, pairs = extra
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["exchange", "--q", write_form(tmp, form)] + args
+        if pairs is not None:
+            path = os.path.join(tmp, "pairs.json")
+            with open(path, "w") as fh:
+                json.dump(pairs, fh)
+            args += ["--pairs", path]
+        run_in_process(args)
+
+
+# chains complete within a budget of 3000 nodes on 2 x 2 forms at L = 3
+chain_forms = usually([[["1", "0"], ["0", "1"]], [[2, 1], [1, 3]]],
+                      [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]], [[1, 2], [2, 1]], [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    form=mostly(st.fixed_dictionaries({"entries": chain_forms})),
+    l_param=usually(["3"], "5", "2", "0", "3/2", "x", "1e400"),
+    d1=usually(["1"], "3/2", "2", "0", "-1", "1/0"),
+    d2=usually(["1"], "3/2", "2", "0", "-1", "1/0"),
+    big_m=usually(["inf"], "4", "3/2", "0", "x"),
+    nu=st.none() | nu_texts,
+    budget=usually(["3000"], "1", "100", "0", "-5", "x"),
+    pair_cap=usually(["1", "4"], "0", "-1"),
+    workers=threads,
+)
+def test_chain_cli_exit_code_on_extreme_input(form, l_param, d1, d2, big_m, nu, budget,
+                                              pair_cap, workers):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["chain", "--q", write_form(tmp, form), "--L", l_param, "--D1", d1,
+                "--D2", d2, "--M", big_m, "--budget", budget, "--pair-cap", pair_cap,
+                "--threads", workers]
+        run_in_process(args + (["--nu", nu] if nu is not None else []))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    module=st.sampled_from(["matrices", "congruences", "radicals", "primes", "exchange",
+                            "recursion", "bounds", "enumeration", "", "x", "MATRICES"]),
+    seed=st.one_of(st.integers(-10 ** 30, 10 ** 30).map(str),
+                   st.sampled_from(["x", "", "1.5", "1e3"])),
+)
+def test_verify_cli_exit_code_on_extreme_input(module, seed):
+    run_in_process(["verify", "--module", module, "--seed", seed])

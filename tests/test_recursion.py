@@ -142,3 +142,23 @@ def test_fractional_d1_d2_product_is_refused_before_the_chain(monkeypatch):
         proposition_driver(I2, 3, Fraction(3, 2), Fraction(3, 2))
     with pytest.raises(DomainError):
         proposition_driver(I2, 3, Fraction(1, 2), 3)
+
+
+def test_inner_chain_refuses_a_wide_window_before_listing_its_pairs(monkeypatch):
+    # level 0 at L = 1000 has 135 primes: every pair (p, q, nu) of the
+    # window was listed before the pair budget was checked
+    import isocount.recursion as recursion
+
+    visits = []
+
+    class CountingPrimes(list):
+        def __iter__(self):
+            for p in list.__iter__(self):
+                visits.append(p)
+                yield p
+
+    real = recursion.primes_in_range
+    monkeypatch.setattr(recursion, "primes_in_range", lambda lo, hi: CountingPrimes(real(lo, hi)))
+    with pytest.raises(ResourceBudgetError, match="more than its budget of 10 pairs"):
+        inner_chain(I3, Fraction(1000), 1, pair_budget=10)
+    assert len(visits) <= 11

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isocount.arith import iroot
 from isocount.enumeration import CountingInstance, count_S
+from isocount import xchg
 from isocount.errors import (
     DomainError,
+    InternalConsistencyError,
     NoPointFound,
     PreconditionFailed,
     ZeroKernel,
@@ -19,9 +22,11 @@ from isocount.xchg import (
     default_pairs,
     exchange_step,
     find_q_prime,
+    fits_int64,
     full_sym_subspace,
     intersect_kernels,
     pair_scalar_m,
+    select_generators,
     sym_to_vec,
     transfer_operator,
     vec_to_sym,
@@ -341,3 +346,163 @@ def test_intersect_kernels_is_the_nullspace_of_the_stacked_operators(data):
     for op in ops:
         for mat in sub.basis_matrices():
             assert all(x.is_zero() for row in op.apply_direct(mat) for x in row)
+
+
+# ---------------------------------------------------------------------------
+# generator selection: the kernel-side test against the greedy Echelon scan
+
+
+def greedy_echelon_scan(rows_with_labels, sym_dim):
+    """The selection as a plain greedy scan: every row goes through the
+    elimination, and a row is kept exactly when the rank rises."""
+    ech = Echelon()
+    rows, labels = [], []
+    for row, label in rows_with_labels:
+        if ech.add(row):
+            rows.append(tuple(row))
+            labels.append(label)
+            if len(rows) == sym_dim:
+                break
+    return rows, labels
+
+
+CUBIC = RadicalFieldSpec(3, [2])
+THETA = CUBIC.root_of(2)
+
+
+def entries_of(field):
+    small = st.integers(-3, 3)
+    if field == "int":
+        return small
+    if field == "fraction":
+        return st.builds(Fraction, small, st.integers(1, 4))
+    # a + b 2^(1/3) + c 2^(2/3), or a plain int as in the operator rows
+    return st.one_of(small, st.builds(lambda a, b, c: a + b * THETA + c * THETA * THETA,
+                                      small, small, small))
+
+
+@st.composite
+def row_streams(draw):
+    """Rows over int, Fraction or Q(2^(1/3)): fresh rows, zero rows, repeats
+    and combinations of earlier rows, so that many rows are dependent."""
+    field = draw(st.sampled_from(["int", "fraction", "cubic"]))
+    n = draw(st.integers(1, 3))
+    dim = n * (n + 1) // 2
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combination"]))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            rows.append((0,) * dim)
+        elif kind == "fresh":
+            rows.append(tuple(draw(st.lists(entries_of(field), min_size=dim, max_size=dim))))
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(entries_of(field)), draw(entries_of(field))
+            rows.append(tuple(c * x + d * y for x, y in zip(a, b)))
+    return n, [(row, ("row", k)) for k, row in enumerate(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_streams())
+def test_kernel_side_selection_equals_the_greedy_echelon_scan(data):
+    n, stream = data
+    assert select_generators(stream, n) == greedy_echelon_scan(stream, n * (n + 1) // 2)
+
+
+# entries beyond fits_int64 at n <= 3 (|gamma| >= 2^31) and beyond int64
+LARGE = st.sampled_from([2 ** 31, 3 * 10 ** 9 + 1, 2 ** 40 - 3, 2 ** 63, 2 ** 64 + 1])
+
+
+@st.composite
+def pair_blocks(draw):
+    """Contributions in blocks of one m: scaled signed permutations c P at
+    their own scale c^(2n) (their kernels hold I), repeats, small random
+    matrices and matrices with entries too large for int64 products."""
+    n = draw(st.integers(2, 3))
+    out = []
+    for block in range(draw(st.integers(1, 3))):
+        c = draw(st.integers(0, 3)) or draw(LARGE)
+        m = c ** (2 * n) if draw(st.integers(0, 3)) else draw(st.sampled_from([1, 2, 16]))
+        for k in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(["scaled"] * 4 + ["repeat"] * 2 + ["random", "large"]))
+            if kind == "repeat" and out and out[-1][1] == m:
+                gamma = out[-1][0]
+            elif kind in ("scaled", "repeat"):
+                perm = draw(st.permutations(range(n)))
+                signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+                gamma = IntegerMatrix(
+                    [[c * signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+                )
+            else:
+                entry = st.integers(-2, 2) if kind == "random" else st.one_of(
+                    st.integers(-2, 2), LARGE, LARGE.map(lambda x: -x))
+                gamma = IntegerMatrix(
+                    draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+                )
+            out.append((gamma, m, ("block", block)))
+    return n, out
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_blocks(), st.sampled_from([1, 2, 4096]))
+def test_batched_selection_equals_the_greedy_echelon_scan(data, batch):
+    # small batches put chunk boundaries inside the blocks
+    n, contribs = data
+    sym_dim = n * (n + 1) // 2
+    spec = RadicalFieldSpec(n, [m for _, m, _ in contribs if not iroot(m, n)[1]])
+    stream = [
+        (row, (label, gamma, ridx))
+        for gamma, m, label in contribs
+        for ridx, row in enumerate(transfer_operator(gamma, m, spec).rows)
+    ]
+    rows, labels = greedy_echelon_scan(stream, sym_dim)
+    with mock.patch.object(xchg, "BATCH", batch):
+        if len(rows) == sym_dim:
+            with pytest.raises(ZeroKernel):
+                intersect_kernels(contribs, n)
+            return
+        sub = intersect_kernels(contribs, n)
+    assert list(sub.generator_rows) == rows
+    assert list(sub.provenance) == labels
+
+
+def test_fits_int64_at_its_bound():
+    # kmax (n^2 gmax^2 + |s|) <= 2^63 - 1, with equality admitted
+    g = 2 ** 30
+    s = 2 ** 63 - 1 - 4 * g * g
+    assert fits_int64(2, g, 1, s) and fits_int64(2, g, 1, -s)
+    assert not fits_int64(2, g, 1, s + 1)
+    assert fits_int64(3, 1, (2 ** 63 - 1) // 10, 1)
+    assert not fits_int64(3, 1, (2 ** 63 - 1) // 10 + 1, 1)
+
+
+@pytest.mark.parametrize("s, batched", [(2 ** 62 - 1, True), (2 ** 62, False)])
+def test_numpy_path_runs_exactly_within_the_bound(s, batched):
+    # gamma = diag(2^30, 1) at the scale s: the unit kernel vectors give
+    # kmax (n^2 gmax^2 + s) = 2^62 + s, which is 2^63 - 1 for the first s
+    calls = []
+    real = xchg._GreedySelection._first_live
+
+    def spy(self, arr, start, scale):
+        calls.append(scale)
+        return real(self, arr, start, scale)
+
+    # the operator of gamma at the scale s is invertible: its kernel is zero
+    contribs = [(IntegerMatrix.diagonal([2 ** 30, 1]), s * s, ("p",))]
+    with mock.patch.object(xchg._GreedySelection, "_first_live", spy):
+        with pytest.raises(ZeroKernel):
+            intersect_kernels(contribs, 2)
+    assert bool(calls) == batched
+
+
+def test_selection_refuses_a_row_the_kernel_test_misjudges():
+    # the elimination must raise the rank of every row off the kernel
+    sel = xchg._GreedySelection(1)
+    sel.kernel = [(1,)]
+    sel.offer((1,), "a")
+    sel.kernel = [(1,)]  # a stale kernel: (2,) now looks independent
+    with pytest.raises(InternalConsistencyError):
+        sel.offer((2,), "b")
