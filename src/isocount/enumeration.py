@@ -16,7 +16,10 @@ _entry_bounds turns each entry condition on gamma^T Q gamma into an integer
 window [lo_ij, hi_ij] for x^T den(Q)Q y (exact in every regime, certified
 floors for the radical thresholds).  Candidate filtering runs on numpy in
 every regime whenever one int64 bound, computed once from the candidate
-lists, holds, and falls back to Python integers otherwise.
+lists, holds (the lists are then int64 arrays for the whole search), and
+falls back to Python integers otherwise.  Columns with the same diagonal
+window share one walk within a call, and the leaf computes only the Smith
+diagonal.
 """
 
 import math
@@ -190,8 +193,9 @@ def _bareiss_rows(a):
 
         y^T A y = sum_k e_k(y)^2 / (D_k D_(k+1)),  e_k(y) = sum_(j>=k) m_kj y_j,
 
-    with D_0 = 1.  The verifier's determinants go through `_int_det`, not
-    through this pass."""
+    with D_0 = 1.  The verifier takes its 1x1 and 2x2 minors in closed
+    form and only its larger ones through `_int_det`, never through this
+    pass."""
     n = len(a)
     m = [list(r) for r in a]
     prev = 1
@@ -325,7 +329,7 @@ def _entry_test(instance, den):
     t = instance.target
     sym = isinstance(instance.q, SymbolicSymMatrix)
     if instance.exact and t.is_rational:
-        r = t.rational
+        r = int(t.rational)
         return lambda v, w: v == r * w
     if instance.exact and not sym:
         return lambda v, w: t.equals_fraction(Fraction(v, w)) if w else v == 0
@@ -423,14 +427,22 @@ def enum_S(
 
     bounds = _entry_bounds(instance)
     den = instance.q.den
-    counter = [0]
+    # one walk per distinct diagonal window; each column still pays its
+    # walk's nodes, so the counts and budget verdicts are per column
+    walks = {}
     cand = []
     for j in range(n):
-        lo, hi = bounds[j][j]
-        cand.append(
-            _enum_window(instance.q, Fraction(lo, den), Fraction(hi, den), max_entry, budget, counter)
-        )
-    stats["nodes"] += counter[0]
+        window = bounds[j][j]
+        if window not in walks:
+            counter = [0]
+            lo, hi = window
+            vectors = _enum_window(
+                instance.q, Fraction(lo, den), Fraction(hi, den), max_entry, budget, counter
+            )
+            walks[window] = vectors, counter[0]
+        vectors, nodes = walks[window]
+        cand.append(vectors)
+        stats["nodes"] += nodes
     stats["candidates_per_column"] = [len(c) for c in cand]
 
     order = sorted(range(n), key=lambda j: (len(cand[j]), j))
@@ -440,8 +452,7 @@ def enum_S(
         solutions = _parallel_enum(instance, bounds, order, cand, budget, prune, workers, stats)
     else:
         cands = [cand[j] for j in order]
-        ctx = _SearchContext(instance, bounds, cands, stats, budget, prune)
-        ctx.dfs(order, 0, {}, cands, solutions)
+        solutions = _SearchContext(instance, bounds, cands, stats, budget, prune).run(order)
 
     solutions.sort(key=lambda m: m.flat())
     for g in solutions:
@@ -482,9 +493,7 @@ def _split_chunks(items, k):
 def _chunk_worker(args):
     instance, bounds, order, cands, budget, prune = args
     stats = _new_stats()
-    ctx = _SearchContext(instance, bounds, cands, stats, budget, prune)
-    sols = []
-    ctx.dfs(order, 0, {}, cands, sols)
+    sols = _SearchContext(instance, bounds, cands, stats, budget, prune).run(order)
     return [g.rows for g in sols], stats
 
 
@@ -516,7 +525,9 @@ class _SearchContext:
     """Depth-first search over the candidate columns.  A pair of columns
     (x at i, y at j) is kept iff lo_ij <= x^T Qt y <= hi_ij and every 2x2
     minor of (x, y) vanishes mod b; the leaf adds the determinantal
-    divisors."""
+    divisors.  While the int64 bound holds, each candidate list is one
+    int64 array of rows for the whole search, and the filter keeps rows of
+    it; otherwise (and with prune=False) the lists hold int tuples."""
 
     def __init__(self, instance, bounds, cands, stats, budget, prune):
         self.inst = instance
@@ -526,7 +537,9 @@ class _SearchContext:
         self.prune = prune
         n = instance.n
         self.qt = instance.q.tilde.rows
+        self.cands = cands
         self.minor_pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+        self.minor_r, self.minor_s = (list(ix) for ix in zip(*self.minor_pairs))
         # every dot x^T Qt y and minor the search forms is at most
         # n^2 max|Qt| max|x|^2 in absolute value
         bx = max((abs(v) for c in cands for y in c for v in y), default=0)
@@ -535,13 +548,26 @@ class _SearchContext:
         if n * n * qmax * bx * bx < 2 ** 62:
             self.np_qt = np.array(self.qt, dtype=np.int64)
 
+    def run(self, order):
+        """The accepted matrices, with column order[d] taken from cands[d]."""
+        cands = self.cands
+        if self.np_qt is not None and self.prune:
+            n = self.inst.n
+            cands = [np.array(c, dtype=np.int64).reshape(len(c), n) for c in cands]
+        out = []
+        self.dfs(order, 0, {}, cands, out)
+        return out
+
     def dfs(self, order, depth, placed, cands, out):
         n = self.inst.n
         if depth == n:
             self._leaf(placed, out)
             return
         j = order[depth]
-        for y in cands[depth]:
+        col = cands[depth]
+        if isinstance(col, np.ndarray):
+            col = map(tuple, col.tolist())
+        for y in col:
             self.stats["nodes"] += 1
             if self.stats["nodes"] > self.budget:
                 raise ResourceBudgetError("matrix enumeration budget exhausted")
@@ -555,7 +581,7 @@ class _SearchContext:
             new_cands = list(cands)
             for d2 in range(depth + 1, n):
                 new_cands[d2] = self._filter(order[d2], j, y, new_cands[d2])
-                if not new_cands[d2]:
+                if not len(new_cands[d2]):
                     self.stats["prunes"]["window"] += 1
                     break
             else:
@@ -575,21 +601,22 @@ class _SearchContext:
         return True
 
     def _filter(self, col, j, y, candidates):
-        """Keep candidates for `col` compatible with the newly placed y at j."""
-        if self.np_qt is None or not candidates:
+        """Keep candidates for `col` compatible with the newly placed y at j:
+        rows of an int64 array when np_qt is set, else a list of tuples."""
+        if self.np_qt is None:
             return [c for c in candidates if self._pair_ok(j, y, col, c)]
-        arr = np.asarray(candidates, dtype=np.int64)
-        dots = arr @ (self.np_qt @ np.asarray(y, dtype=np.int64))
+        y = np.array(y, dtype=np.int64)
+        dots = candidates @ (self.np_qt @ y)
         lo, hi = self.bounds[col][j]
-        keep = (dots >= lo) & (dots <= hi)
-        n_pair = int(len(candidates) - keep.sum())
+        kept = candidates[(dots >= lo) & (dots <= hi)]
+        self.stats["prunes"]["pairwise"] += len(candidates) - len(kept)
         b = self.inst.b
-        if b > 1:
-            for r, s in self.minor_pairs:
-                keep &= (y[r] * arr[:, s] - y[s] * arr[:, r]) % b == 0
-        kept = [candidates[i] for i in np.nonzero(keep)[0]]
-        self.stats["prunes"]["pairwise"] += n_pair
-        self.stats["prunes"]["minor"] += len(candidates) - n_pair - len(kept)
+        if b > 1 and len(kept):
+            # the minors x_r y_s - x_s y_r of every kept row x, one per column
+            r, s = self.minor_r, self.minor_s
+            bad = ((kept[:, s] * y[r] - kept[:, r] * y[s]) % b).any(axis=1)
+            self.stats["prunes"]["minor"] += int(bad.sum())
+            kept = kept[~bad]
         return kept
 
     def _leaf(self, placed, out):

@@ -10,6 +10,7 @@ for the elimination kernel and the bilinear forms, radical-field elements.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .arith import kronecker
@@ -220,130 +221,138 @@ def solve(a, b):
 def smith_normal_form(gamma):
     """(U, D, V) unimodular/diagonal/unimodular with gamma = U * D * V.
 
-    D has d_1 | d_2 | ... | d_n >= 0.  Pivot rule: smallest absolute value
-    among nonzero entries of the working submatrix, ties broken by
-    row-major position, so the factor triple is reproducible.
+    D has d_1 | d_2 | ... | d_n >= 0; see `_smith_reduce` for the pivot
+    rule, which makes the factor triple reproducible.
     """
     n = gamma.n
     w = [list(r) for r in gamma.rows]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    _smith_reduce(w, u, v)
+    return IntegerMatrix(u, max_dim=n), IntegerMatrix(w, max_dim=n), IntegerMatrix(v, max_dim=n)
 
-    # invariant: gamma = U * W * V throughout
-    def row_op(i, k, q):  # W[i] -= q*W[k]  =>  U[:,k] += q*U[:,i]
-        for j in range(n):
-            w[i][j] -= q * w[k][j]
-        for r in range(n):
-            u[r][k] += q * u[r][i]
 
-    def col_op(j, k, q):  # W[:,j] -= q*W[:,k]  =>  V[k] += q*V[j]
-        for r in range(n):
-            w[r][j] -= q * w[r][k]
-        for c in range(n):
-            v[k][c] += q * v[j][c]
+def _smith_reduce(w, u=None, v=None):
+    """Reduce the square integer lists `w` in place to the Smith diagonal
+    d_1 | d_2 | ... | d_n >= 0.
 
-    def swap_rows(i, k):
-        w[i], w[k] = w[k], w[i]
-        for r in range(n):
-            u[r][i], u[r][k] = u[r][k], u[r][i]
-
-    def swap_cols(j, k):
-        for r in range(n):
-            w[r][j], w[r][k] = w[r][k], w[r][j]
-        v[j], v[k] = v[k], v[j]
-
-    def negate_row(i):
-        for j in range(n):
-            w[i][j] = -w[i][j]
-        for r in range(n):
-            u[r][i] = -u[r][i]
-
+    Pivot rule: smallest absolute value among nonzero entries of the working
+    submatrix, ties broken by row-major position.  Given `u` and `v` (both
+    starting as the identity), each step's inverse is applied to them, so
+    that gamma = U * W * V holds throughout.  Without them only W is
+    reduced: on entries mixing small and huge magnitudes the transforms
+    grow by about one huge entry per round, far beyond W itself.
+    """
+    n = len(w)
+    track = u is not None
     for k in range(n):
+        # rows and columns before k are done (zero off the diagonal), so
+        # the steps on W touch only the block from (k, k) on
+        block = range(k, n)
         while True:
-            piv = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    x = w[i][j]
-                    if x != 0 and (piv is None or abs(x) < abs(w[piv[0]][piv[1]])):
-                        piv = (i, j)
+            piv, least = None, 0
+            for i in block:
+                row = w[i]
+                for j in block:
+                    x = row[j]
+                    if x < 0:
+                        x = -x
+                    if x and (piv is None or x < least):
+                        piv, least = (i, j), x
             if piv is None:
                 break  # remaining block is zero
-            if piv != (k, k):
-                if piv[0] != k:
-                    swap_rows(k, piv[0])
-                if piv[1] != k:
-                    swap_cols(k, piv[1])
-            if w[k][k] < 0:
-                negate_row(k)
+            i, j = piv
+            if i != k:
+                w[i], w[k] = w[k], w[i]
+                if track:
+                    for r in u:
+                        r[i], r[k] = r[k], r[i]
+            if j != k:
+                for r in w:
+                    r[j], r[k] = r[k], r[j]
+                if track:
+                    v[j], v[k] = v[k], v[j]
+            wk = w[k]
+            if wk[k] < 0:
+                wk = w[k] = [-x for x in wk]
+                if track:
+                    for r in u:
+                        r[k] = -r[k]
+            p = wk[k]
+            # each step leaves the remainder mod p behind; any nonzero one
+            # is a smaller pivot for the next round
             dirty = False
             for i in range(k + 1, n):
-                if w[i][k] % w[k][k] != 0:
-                    row_op(i, k, w[i][k] // w[k][k])
-                    dirty = True
-                elif w[i][k] != 0:
-                    row_op(i, k, w[i][k] // w[k][k])
+                wi = w[i]
+                if wi[k]:
+                    q = wi[k] // p
+                    for j in block:  # W[i] -= q*W[k]
+                        wi[j] -= q * wk[j]
+                    if track:  # U[:,k] += q*U[:,i]
+                        for r in u:
+                            r[k] += q * r[i]
+                    dirty = dirty or wi[k] != 0
             for j in range(k + 1, n):
-                if w[k][j] % w[k][k] != 0:
-                    col_op(j, k, w[k][j] // w[k][k])
-                    dirty = True
-                elif w[k][j] != 0:
-                    col_op(j, k, w[k][j] // w[k][k])
+                if wk[j]:
+                    q = wk[j] // p
+                    for i in block:  # W[:,j] -= q*W[:,k]
+                        r = w[i]
+                        r[j] -= q * r[k]
+                    if track:  # V[k] += q*V[j]
+                        vk, vj = v[k], v[j]
+                        for c in range(n):
+                            vk[c] += q * vj[c]
+                    dirty = dirty or wk[j] != 0
             if dirty:
                 continue
-            if any(w[i][k] for i in range(k + 1, n)) or any(
-                w[k][j] for j in range(k + 1, n)
-            ):
-                continue
             # divisibility: d_k must divide the rest of the block
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if w[i][j] % w[k][k] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(k + 1, n) if any(w[i][j] % p for j in range(k + 1, n))),
+                None,
+            )
             if offender is None:
                 break
-            row_op(k, offender, -1)  # fold offending row into row k, redo
-
-    U = IntegerMatrix(u, max_dim=n)
-    D = IntegerMatrix(w, max_dim=n)
-    V = IntegerMatrix(v, max_dim=n)
-    return U, D, V
+            # fold the offending row into row k and redo:
+            # W[k] += W[o]  =>  U[:,o] -= U[:,k]
+            wo = w[offender]
+            for j in block:
+                wk[j] += wo[j]
+            if track:
+                for r in u:
+                    r[offender] -= r[k]
 
 
 def determinantal_divisor(gamma, j):
-    """Delta_j(gamma): gcd of all j-by-j minors, via the Smith form."""
+    """Delta_j(gamma): gcd of all j-by-j minors, via the Smith diagonal."""
     if not 1 <= j <= gamma.n:
         raise DomainError("index %d outside 1..%d" % (j, gamma.n))
-    _, d, _ = smith_normal_form(gamma)
-    out = 1
-    for i in range(j):
-        out *= d[i, i]
-    return abs(out)
+    return determinantal_divisors(gamma)[j - 1]
 
 
 def determinantal_divisors(gamma):
-    """(Delta_1, ..., Delta_n) in one Smith form pass."""
-    _, d, _ = smith_normal_form(gamma)
-    out = []
-    acc = 1
-    for i in range(gamma.n):
-        acc *= abs(d[i, i])
-        out.append(acc)
-    return tuple(out)
+    """(Delta_1, ..., Delta_n): running products of the Smith diagonal, in
+    one pass that builds no transforms."""
+    w = [list(r) for r in gamma.rows]
+    _smith_reduce(w)
+    return tuple(itertools.accumulate((w[i][i] for i in range(gamma.n)), operator.mul))
 
 
 def determinantal_divisor_oracle(rows, j):
     """Independent gcd-over-all-minors computation (no Smith form).
 
     Used by post-hoc solution verification and by tests as the oracle side
-    of the dual-route check.
+    of the dual-route check.  The 1x1 and 2x2 minors are taken in closed
+    form; larger ones go through `_int_det`.
     """
     n = len(rows)
     if not 1 <= j <= n:
         raise DomainError("index %d outside 1..%d" % (j, n))
+    if j == 1:
+        return math.gcd(*(x for row in rows for x in row))
+    if j == 2:
+        pairs = list(itertools.combinations(range(n), 2))
+        return math.gcd(*(r[c] * s[d] - r[d] * s[c]
+                          for r, s in itertools.combinations(rows, 2) for c, d in pairs))
     g = 0
     for rsel in itertools.combinations(range(n), j):
         for csel in itertools.combinations(range(n), j):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from isocount.arith import MAX_SIEVE
 from isocount.cli import main
+from isocount.matrices import determinantal_divisor_oracle
 from isocount.serialize import dumps
 
 
@@ -72,6 +74,21 @@ def test_detdiv(matrix_file, capsys):
     rc, out, _ = run_cli(["detdiv", "--matrix", matrix_file], capsys)
     assert rc == 0
     assert json.loads(out)["delta"] == [1, 5, 125]
+
+
+def test_detdiv_on_mixed_magnitudes(tmp_path, capsys):
+    # small entries beside 10^12, 10^308 and 10^400: building the Smith
+    # transforms took about a minute on a matrix like this one; the
+    # diagonal alone takes a fraction of a second
+    rng = random.Random(0)
+    vals = [0, 1, -1, 2, -3, 5, 10 ** 12, -(10 ** 12), 10 ** 308, 10 ** 400, -(10 ** 400)]
+    rows = [[rng.choice(vals) for _ in range(6)] for _ in range(6)]
+    path = tmp_path / "m.json"
+    path.write_text(dumps({"entries": [[str(x) for x in row] for row in rows]}))
+    rc, out, _ = run_cli(["detdiv", "--matrix", str(path)], capsys)
+    assert rc == 0
+    want = [determinantal_divisor_oracle(rows, j) for j in range(1, 7)]
+    assert json.loads(out)["delta"] == want
 
 
 def test_count(instance_file, capsys, tmp_path):
@@ -399,11 +416,11 @@ def run_in_process(args):
 @st.composite
 def detdiv_files(draw):
     n = draw(st.integers(0, 9))
-    # one malformed entry in about n^2 / 40; entries stay below 10^13,
-    # since the Smith form slows down sharply on far larger ones
+    # one malformed entry in about n^2 / 40; small entries beside huge ones
     entry = st.sampled_from(range(40)).flatmap(
         lambda k: st.one_of(json_junk, rational_texts) if k == 0
-        else st.one_of(st.integers(-10, 10), st.sampled_from(["1000000", str(10 ** 12)])))
+        else st.one_of(st.integers(-10, 10), st.sampled_from(
+            ["1000000", str(10 ** 12), str(10 ** 100), "-" + str(10 ** 400)])))
     entries = [[draw(entry) for _ in range(n)] for _ in range(n)]
     out = {"entries": draw(mostly(st.just(entries)))}
     if draw(st.booleans()):

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from isocount import enumeration
 from isocount.enumeration import (
     CountingInstance,
     SymbolicSymMatrix,
@@ -217,6 +219,38 @@ def test_enum_S_budget_verdict_independent_of_workers(workers):
     assert ss.count == 1728 and ss.stats["nodes"] == 12120
 
 
+D112 = RationalSymMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+
+
+@pytest.mark.parametrize(
+    "q, walks, stats",
+    [
+        (I3, 1, {"count": 288, "nodes": 900, "candidates_per_column": [30, 30, 30],
+                 "prunes": {"pairwise": 2376, "minor": 0, "delta": 48, "window": 0}}),
+        (D112, 2, {"count": 96, "nodes": 530, "candidates_per_column": [28, 28, 30],
+                   "prunes": {"pairwise": 1512, "minor": 0, "delta": 16, "window": 0}}),
+    ],
+)
+def test_enum_S_walks_once_per_distinct_window(monkeypatch, q, walks, stats):
+    # columns with the same diagonal window share one walk inside a call,
+    # each still paying its nodes (counts pinned from the per-column walk);
+    # a second call walks again, since nothing is kept between calls
+    calls = []
+    walk = enumeration._enum_window
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return walk(*args)
+
+    monkeypatch.setattr(enumeration, "_enum_window", counted)
+    inst = CountingInstance(q, 5, 5)
+    for rounds in (1, 2):
+        ss = enum_S(inst)
+        assert len(calls) == rounds * walks
+        assert len(set(calls)) == walks
+        assert {k: ss.stats[k] for k in stats} == stats
+
+
 def test_enum_S_finite_error_window():
     # with a generous error window the exact solutions remain included
     exact = enum_S(CountingInstance(I3, 3, 3))
@@ -309,7 +343,8 @@ def test_entry_bounds_decide_entry_ok(q, a, b, big_m, c):
 )
 def test_numpy_filter_matches_the_integer_loop(q, big_m, scale, data):
     # the numpy filter runs only when the int64 bound holds, and then keeps
-    # and counts exactly what the per-pair Python test does
+    # (as rows of its int64 array, in the same order) and counts exactly
+    # what the per-pair Python test does
     inst = CountingInstance(q, 3, 3, big_m=big_m)
     bounds = _entry_bounds(inst)
     vec = st.tuples(*[st.integers(-3, 3).map(lambda v: v * scale)] * q.n)
@@ -319,7 +354,12 @@ def test_numpy_filter_matches_the_integer_loop(q, big_m, scale, data):
     ctx_fast = _SearchContext(inst, bounds, [[y], cands], fast, 10 ** 6, True)
     ctx_slow = _SearchContext(inst, bounds, [[y], cands], slow, 10 ** 6, True)
     ctx_slow.np_qt = None
-    kept = ctx_fast._filter(1, 0, y, cands)
+    if ctx_fast.np_qt is None:
+        kept = ctx_fast._filter(1, 0, y, cands)
+    else:
+        kept = ctx_fast._filter(1, 0, y, np.array(cands, dtype=np.int64))
+        assert kept.dtype == np.int64
+        kept = [tuple(row) for row in kept.tolist()]
     assert kept == ctx_slow._filter(1, 0, y, cands)
     assert fast["prunes"] == slow["prunes"]
 

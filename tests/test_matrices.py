@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -240,3 +243,65 @@ def test_congruence_is_the_naive_triple_sum(kind, n, data):
             naive = sum(g[k][i] * a[k][l] * g[l][j] for k in range(n) for l in range(n))
             assert got[i][j] == naive
             assert bilinear(a, cols[i], cols[j]) == naive
+
+
+HUGE = 10 ** 400
+huge_entries = st.one_of(st.sampled_from([10 ** 12, -(10 ** 100), HUGE, -HUGE]),
+                         st.integers(-HUGE, HUGE))
+divisor_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(st.integers(-9, 9), huge_entries),
+                                min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@st.composite
+def few_huge_matrices(draw):
+    """Small entries with at most two huge ones: the U and V of
+    `smith_normal_form` grow by about the size of a huge entry per round,
+    and a block of several of them takes seconds of rounds."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(huge_entries)
+    return rows
+
+
+def brute_divisor(rows, j):
+    """gcd of every j x j minor, each a Leibniz sum over permutations."""
+    n = len(rows)
+    g = 0
+    for rsel in itertools.combinations(range(n), j):
+        for csel in itertools.combinations(range(n), j):
+            minor = 0
+            for perm in itertools.permutations(range(j)):
+                inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+                minor += (-1) ** inversions * math.prod(
+                    rows[rsel[k]][csel[perm[k]]] for k in range(j))
+            g = math.gcd(g, minor)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=divisor_matrices)
+def test_divisor_closed_forms_are_the_gcd_of_all_minors(rows):
+    # the oracle's Delta_1 (gcd of the entries) and Delta_2 (gcd of the
+    # a d - b c), and the Smith diagonal's first two running products,
+    # against the minors themselves
+    deltas = determinantal_divisors(IntegerMatrix(rows))
+    for j in range(1, min(2, len(rows)) + 1):
+        want = brute_divisor(rows, j)
+        assert determinantal_divisor_oracle(rows, j) == want
+        assert deltas[j - 1] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=few_huge_matrices())
+def test_divisors_are_the_running_products_of_the_smith_diagonal(rows):
+    # the pass that builds U and V and the one that does not share one
+    # loop; both must give the same invariant factors
+    m = IntegerMatrix(rows)
+    _, d, _ = smith_normal_form(m)
+    assert determinantal_divisors(m) == tuple(
+        itertools.accumulate((d[i, i] for i in range(m.n)), operator.mul))
