@@ -391,7 +391,11 @@ class FieldElement:
         return acc
 
     def sign(self):
-        """Certified sign: symbolic zero, else adaptive interval refinement."""
+        """Certified sign: exact for a rational element, else adaptive
+        interval refinement after the symbolic zero test."""
+        if self.is_rational():
+            v = self.rational_value()
+            return (v > 0) - (v < 0)
         return certified_sign(lambda _p: self.real_interval(), is_zero=self.is_zero)
 
     def __lt__(self, other):
@@ -407,9 +411,12 @@ class FieldElement:
         return (self - other).sign() >= 0
 
     def floor(self):
-        """The integer floor, exact: the real interval is refined, doubling
-        the precision up to PREC_CAP, until it spans at most two integer
-        floors; one certified sign then picks between them."""
+        """The integer floor, exact: a rational element floors its
+        Fraction; otherwise the real interval is refined, doubling the
+        precision up to PREC_CAP, until it spans at most two integer
+        floors, and one certified sign then picks between them."""
+        if self.is_rational():
+            return math.floor(self.rational_value())
         prec = START_PREC
         while prec <= PREC_CAP:
             with precision(prec):

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from isocount.enumeration import (
 )
 from isocount.errors import DomainError, ResourceBudgetError
 from isocount.matrices import IntegerMatrix, RationalSymMatrix
-from isocount.radicals import RadicalFieldSpec
+from isocount.radicals import FieldElement, RadicalFieldSpec
 
 from oracles import box_norm_vectors, enum_S_oracle, exact_box, solution_set_flat
 
@@ -205,6 +206,13 @@ def test_enum_S_parallel_in_the_error_regime():
 def test_enum_S_budget_error():
     with pytest.raises(ResourceBudgetError):
         enum_S(CountingInstance(I3, 27, 27), budget=50)
+
+
+def test_huge_rational_threshold_meets_the_entry_bound():
+    # thr = 10^1300 / 9 is rational: its window floors exactly and the
+    # search box is refused (it ended in "floor undecided at 4096 bits")
+    with pytest.raises(ResourceBudgetError, match="search box"):
+        enum_S(CountingInstance(I3, 3, 3, big_m=4, error_constant=10 ** 1300))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -418,3 +426,72 @@ def test_verify_membership_agrees_on_rational_and_symbolic_q(case, data):
         assert verify_membership(inst, g) == verify_membership(sym_inst, g)
     if src_a == a and src_m == big_m:
         assert all(verify_membership(sym_inst, g) for g in gammas[: len(gammas) // 2])
+
+
+# t = (a b^2)^(2/3) and thr = C (a b^2)^((2-M)/3) are both irrational unless
+# a b^2 is a cube; C = 10^40 makes a 128-bit bracket of den thr wider than 1
+BRACKET_FORMS = (I3, RationalSymMatrix([[1, HALF, 0], [HALF, 1, 0], [0, 0, 1]]))
+
+
+@st.composite
+def near_threshold_entries(draw):
+    """An instance with irrational t and thr, w with |w| < 2^201 (past what
+    a 128-bit bracket decides near the top), and the field elements
+    t and den thr built apart from the verifier's."""
+    q = draw(st.sampled_from(BRACKET_FORMS))
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    big_m = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4)]))
+    c = draw(st.sampled_from([Fraction(1), Fraction(10 ** 40)]))
+    s = a * b * b
+    assume(round(s ** (1 / 3)) ** 3 != s)
+    expo = Fraction(2 - big_m, 3)
+    degree = 3 * expo.denominator
+    root = RadicalFieldSpec(degree, [s]).root_of(s)  # s^(1/degree)
+    t, thr = root ** (2 * degree // 3), root ** int(expo * degree) * (c * q.den)
+    bits = draw(st.integers(0, 200))
+    w = draw(st.sampled_from([1, -1])) * (2 ** bits + draw(st.integers(0, 2 ** bits - 1)))
+    return CountingInstance(q, a, b, big_m=big_m, error_constant=c), w, t, thr
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=near_threshold_entries())
+def test_entry_bracket_agrees_with_the_certified_field_path(case):
+    # v at floor and ceil of t w +- den thr: the bracket decides what it can
+    # and the certified sign the rest, and together they give abs_le
+    inst, w, t, thr = case
+    accept = _entry_test(inst, inst.q.den)
+    for side in (thr, -thr):
+        x = t * w + side
+        for v in (x.floor(), -(-x).floor()):
+            assert accept(v, w) == (v - t * w).abs_le(thr)
+
+
+def test_verifier_work_is_per_instance():
+    # t = 49 and thr = 1/49: no certified sign for any matrix, the target
+    # root and the field spec built at most once for all of them
+    sols = enum_S(CountingInstance(I3, 7, 7, big_m=4)).matrices
+    inst = CountingInstance(I3, 7, 7, big_m=4)
+    calls = {"spec": 0, "iroot": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def no_sign(self):
+        raise AssertionError("certified sign on a rational threshold")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RadicalFieldSpec, "__init__", counted("spec", RadicalFieldSpec.__init__))
+        mp.setattr(enumeration, "iroot", counted("iroot", enumeration.iroot))
+        mp.setattr(FieldElement, "sign", no_sign)
+        assert all(verify_membership(inst, g) for g in sols)
+    assert len(sols) > 100 and calls["spec"] <= 1 and calls["iroot"] <= 1
+    # the memo survives pickling (the parallel search ships the instance)
+    clone = pickle.loads(pickle.dumps(inst))
+    assert clone == inst and hash(clone) == hash(inst)
+    assert all(verify_membership(clone, g) for g in sols)
+    seq, par = enum_S(inst, workers=1), enum_S(inst, workers=2)
+    assert seq.matrices == par.matrices == sols and seq.stats == par.stats

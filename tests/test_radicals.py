@@ -119,6 +119,24 @@ def test_sign_and_comparisons():
     assert th > Fraction(5, 4) and th < Fraction(13, 10)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    x=st.fractions(max_denominator=10 ** 6).filter(lambda f: abs(f) < 10 ** 40),
+    y=st.fractions(max_denominator=10 ** 6).filter(lambda f: abs(f) < 10 ** 40),
+)
+def test_rational_signs_need_no_interval(x, y):
+    # a rational element of a degree-3 field is decided from its Fraction
+    def no_interval(self):
+        raise AssertionError("interval evaluated for a rational element")
+
+    ex, ey = K23.from_rational(x), K23.from_rational(y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FieldElement, "real_interval", no_interval)
+        assert ex.sign() == (x > 0) - (x < 0)
+        assert (ex <= ey) == (x <= y) and (ex <= y) == (x <= y)
+        assert ex.abs_le(ey) == (abs(x) <= y)
+
+
 def test_well_balanced_zero_convention():
     ok, cert = is_well_balanced(K2.zero(), 1, 2)
     assert ok and cert.valid
@@ -329,7 +347,7 @@ def test_floor_of_exact_integers_and_negatives():
     assert _assert_floor(th * th * 10 ** 40) == 15874010519681994747517056392723082603914
     assert _assert_floor(K2.from_rational(Fraction(-7, 2))) == -4
     assert _assert_floor(K2.zero()) == 0
-    # integers too long for the starting precision: the sign step decides
+    # integers too long for the starting precision floor exactly
     assert _assert_floor(K2.from_rational(3 ** 100)) == 3 ** 100
     assert _assert_floor(K2.from_rational(-3 ** 100)) == -3 ** 100
     r2, r3 = K23.root_of(2), K23.root_of(3)
@@ -337,6 +355,12 @@ def test_floor_of_exact_integers_and_negatives():
     # above the precision cap the floor is refused, not looped on
     with pytest.raises(PrecisionExhausted):
         (th * 10 ** 2000).floor()
+
+
+def test_rational_floor_is_exact_at_any_size():
+    # beyond PREC_CAP bits it was refused with PrecisionExhausted
+    assert K2.from_rational(10 ** 1300 + 1).floor() == 10 ** 1300 + 1
+    assert K2.from_rational(Fraction(-(10 ** 1300) - 1, 2)).floor() == -(10 ** 1300) // 2 - 1
 
 
 @settings(max_examples=80, deadline=None)
