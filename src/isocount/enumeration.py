@@ -21,13 +21,12 @@ falls back to Python integers otherwise.  Columns with the same diagonal
 window share one walk within a call, and the leaf computes only the Smith
 diagonal.
 
-The verifier's entry decision is a per-instance computation too: the
-instance memoizes its target t and, for the error regime, rational
-brackets of t and the threshold (EntryBracket, ints and Fractions only,
-so the instance still pickles).  Each entry is then decided by integer
-comparison, and only an entry the bracket cannot decide falls back to the
-certified sign in the field of t and thr.  The bracket comes from the
-certified intervals of t and thr, never from the search's windows.
+The verifier's per-instance work is memoized on the instance: its target
+t and, in the error regime, the threshold thr as a Fraction when it is
+rational (ints and Fractions only, so the instance still pickles).  With
+t an integer and thr rational each entry is one integer comparison;
+otherwise it is the certified sign in the field of t and thr, built per
+call.  Neither comes from the search's windows.
 """
 
 import math
@@ -36,11 +35,9 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from mpmath.libmp import to_rational
 
 from .arith import iroot
 from .errors import DomainError, InternalConsistencyError, ResourceBudgetError
-from .intervals import START_PREC, precision
 from .matrices import (
     IntegerMatrix,
     congruence,
@@ -158,35 +155,15 @@ class CountingInstance:
         return TargetScalar.build(self.s, self.n)
 
     @cached_property
-    def _field(self):
-        """(spec, t, thr): t and the error threshold thr (None in the exact
-        regime) as elements of the field they and a symbolic Q's entries
-        live in.  Built once per instance; never pickled (see __getstate__)."""
-        degree = self.n
-        radicands = [self.s]
-        if isinstance(self.q, SymbolicSymMatrix):
-            degree = math.lcm(degree, self.q.spec.degree)
-            radicands += self.q.spec.radicands
-        if not self.exact:
-            expo = Fraction(2 - self.big_m, self.n)
-            degree = math.lcm(degree, expo.denominator)
-        spec = RadicalFieldSpec(degree, radicands)
-        thr = None
-        if not self.exact:
-            thr = spec.power_root(self.s, int(expo * degree)) * self.error_constant
-        return spec, self.target.as_field_element(spec), thr
-
-    @cached_property
-    def _bracket(self):
-        """EntryBracket of the error regime: rationals around t and thr."""
-        _, t_el, thr = self._field
-        return EntryBracket(*_rational_bracket(t_el), *_rational_bracket(thr))
-
-    def __getstate__(self):
-        # field elements do not pickle; a worker rebuilds _field on demand
-        state = dict(self.__dict__)
-        state.pop("_field", None)
-        return state
+    def _rational_threshold(self):
+        """The error threshold error_constant * s^((2-M)/n) as a Fraction
+        when it is rational; None when it is irrational or M is infinite."""
+        if self.exact:
+            return None
+        expo = Fraction(2 - self.big_m, self.n)
+        spec = RadicalFieldSpec(expo.denominator, [self.s])
+        thr = spec.power_root(self.s, expo.numerator) * self.error_constant
+        return thr.rational_value() if thr.is_rational() else None
 
     def describe(self):
         return {
@@ -196,28 +173,6 @@ class CountingInstance:
             "error_constant": str(self.error_constant),
             "n": self.n,
         }
-
-
-@dataclass(frozen=True)
-class EntryBracket:
-    """t_lo <= t <= t_hi and thr_lo <= thr <= thr_hi, all Fractions: a
-    rational value is its own point bracket, an irrational one takes the
-    ends of its certified real interval at START_PREC."""
-
-    t_lo: Fraction
-    t_hi: Fraction
-    thr_lo: Fraction
-    thr_hi: Fraction
-
-
-def _rational_bracket(x):
-    if x.is_rational():
-        v = x.rational_value()
-        return v, v
-    with precision(START_PREC):
-        ends = x.real_interval()._mpi_
-    lo, hi = (Fraction(*to_rational(e)) for e in ends)
-    return lo, hi
 
 
 @dataclass
@@ -389,12 +344,7 @@ def verify_membership(instance, gamma):
 def _entry_test(instance, den):
     """accept(v, w): entry (i, j) of gamma^T Q gamma is admissible, given
     v = (gamma^T R gamma)_ij and w = R_ij for R = den Q, i.e. v = t w
-    exactly, or |v - t w| <= den thr in the error regime.
-
-    A rational Q in the error regime is decided by the instance's rational
-    bracket (EntryBracket), in integers only; the certified field sign runs
-    only for an entry the bracket leaves undecided.  A symbolic Q is
-    decided in its field throughout."""
+    exactly, or |v - t w| <= den thr in the error regime."""
     t = instance.target
     sym = isinstance(instance.q, SymbolicSymMatrix)
     if instance.exact and t.is_rational:
@@ -402,58 +352,27 @@ def _entry_test(instance, den):
         return lambda v, w: v == r * w
     if instance.exact and not sym:
         return lambda v, w: t.equals_fraction(Fraction(v, w)) if w else v == 0
-    if sym:
-        return _field_test(instance, den)
-    br = instance._bracket
-    if br.t_lo == br.t_hi and br.thr_lo == br.thr_hi:
-        # t is an integer (a rational root of s^2 is one) and |v - t w| is
-        # an integer, so the bound floors
-        r, bound = int(br.t_lo), math.floor(br.thr_lo * den)
+    thr = instance._rational_threshold
+    if t.is_rational and thr is not None and not sym:
+        # t is an integer (a rational root of s^2 is one) and so is
+        # v - t w, so the bound floors
+        r, bound = int(t.rational), math.floor(thr * den)
         return lambda v, w: abs(v - r * w) <= bound
-    return BracketTest(instance, den)
-
-
-def _field_test(instance, den):
-    """The certified decision in the field of t and thr."""
-    spec, t_el, thr = instance._field
+    # the field of t (and thr, and a symbolic Q's entries)
+    degree = instance.n
+    radicands = [instance.s]
+    if sym:
+        degree = math.lcm(degree, instance.q.spec.degree)
+        radicands += instance.q.spec.radicands
+    if not instance.exact:
+        expo = Fraction(2 - instance.big_m, instance.n)
+        degree = math.lcm(degree, expo.denominator)
+    spec = RadicalFieldSpec(degree, radicands)
+    t_el = t.as_field_element(spec)
     if instance.exact:
         return lambda v, w: not (spec.coerce(v) - t_el * spec.coerce(w))
-    bound = thr * den
+    bound = spec.power_root(instance.s, int(expo * degree)) * (instance.error_constant * den)
     return lambda v, w: (spec.coerce(v) - t_el * spec.coerce(w)).abs_le(bound)
-
-
-class BracketTest:
-    """accept(v, w) for integers v, w against an irrational t or thr.
-
-    Everything is scaled by one common denominator D of the bracket ends,
-    so v - t w over t in [t_lo, t_hi] runs between two integers (over D):
-    inside [-den thr_lo, den thr_lo] at both ends accepts, beyond
-    den thr_hi on one side at both ends rejects, and only what is left
-    goes to the certified field sign, counted in `fallbacks`."""
-
-    __slots__ = ("instance", "den", "scale", "t_lo", "t_hi", "b_lo", "b_hi", "fallbacks")
-
-    def __init__(self, instance, den):
-        br = instance._bracket
-        b_lo, b_hi = br.thr_lo * den, br.thr_hi * den
-        ends = (br.t_lo, br.t_hi, b_lo, b_hi)
-        d = math.lcm(*(x.denominator for x in ends))
-        self.instance, self.den, self.scale = instance, den, d
-        self.t_lo, self.t_hi, self.b_lo, self.b_hi = (int(x * d) for x in ends)
-        self.fallbacks = 0
-
-    def __call__(self, v, w):
-        x = v * self.scale
-        if w >= 0:
-            lo, hi = x - self.t_hi * w, x - self.t_lo * w
-        else:
-            lo, hi = x - self.t_lo * w, x - self.t_hi * w
-        if -self.b_lo <= lo and hi <= self.b_lo:
-            return True
-        if lo > self.b_hi or hi < -self.b_hi:
-            return False
-        self.fallbacks += 1
-        return _field_test(self.instance, self.den)(v, w)
 
 
 # ---------------------------------------------------------------------------

@@ -194,31 +194,7 @@ def _check_enumeration(rng):
     checks.append(
         ("irrational_short_circuit", sc.count == 0 and sc.stats["short_circuit"] is not None, "")
     )
-    checks.append(_check_entry_bracket(rng))
     return checks
-
-
-def _check_entry_bracket(rng):
-    """The verifier's bracket decision against the certified abs_le on
-    entries next to the threshold of diag(1,1,2), a=2, b=3, M=3/2, where
-    t = 18^(2/3) and thr = 18^(1/6) are irrational; |w| up to 2^200 sends
-    some entries past what the 128-bit bracket decides."""
-    q = RationalSymMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-    inst = enumeration.CountingInstance(q, 2, 3, big_m=Fraction(3, 2))
-    accept = enumeration.BracketTest(inst, q.den)
-    spec = radicals.RadicalFieldSpec(6, [18])
-    thr = spec.root_of(18)
-    t = thr ** 4
-    ok = True
-    entries = 0
-    for _ in range(30):
-        w = rng.choice([-1, 1]) * rng.getrandbits(rng.randint(1, 200))
-        for side in (thr, -thr):
-            x = t * w + side
-            for v in (x.floor(), -(-x).floor()):
-                entries += 1
-                ok = ok and accept(v, w) == (v - t * w).abs_le(thr)
-    return ("entry_bracket", ok, "%d entries, %d to the fallback" % (entries, accept.fallbacks))
 
 
 def _check_primes(rng):

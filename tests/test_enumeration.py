@@ -428,44 +428,6 @@ def test_verify_membership_agrees_on_rational_and_symbolic_q(case, data):
         assert all(verify_membership(sym_inst, g) for g in gammas[: len(gammas) // 2])
 
 
-# t = (a b^2)^(2/3) and thr = C (a b^2)^((2-M)/3) are both irrational unless
-# a b^2 is a cube; C = 10^40 makes a 128-bit bracket of den thr wider than 1
-BRACKET_FORMS = (I3, RationalSymMatrix([[1, HALF, 0], [HALF, 1, 0], [0, 0, 1]]))
-
-
-@st.composite
-def near_threshold_entries(draw):
-    """An instance with irrational t and thr, w with |w| < 2^201 (past what
-    a 128-bit bracket decides near the top), and the field elements
-    t and den thr built apart from the verifier's."""
-    q = draw(st.sampled_from(BRACKET_FORMS))
-    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    big_m = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4)]))
-    c = draw(st.sampled_from([Fraction(1), Fraction(10 ** 40)]))
-    s = a * b * b
-    assume(round(s ** (1 / 3)) ** 3 != s)
-    expo = Fraction(2 - big_m, 3)
-    degree = 3 * expo.denominator
-    root = RadicalFieldSpec(degree, [s]).root_of(s)  # s^(1/degree)
-    t, thr = root ** (2 * degree // 3), root ** int(expo * degree) * (c * q.den)
-    bits = draw(st.integers(0, 200))
-    w = draw(st.sampled_from([1, -1])) * (2 ** bits + draw(st.integers(0, 2 ** bits - 1)))
-    return CountingInstance(q, a, b, big_m=big_m, error_constant=c), w, t, thr
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=near_threshold_entries())
-def test_entry_bracket_agrees_with_the_certified_field_path(case):
-    # v at floor and ceil of t w +- den thr: the bracket decides what it can
-    # and the certified sign the rest, and together they give abs_le
-    inst, w, t, thr = case
-    accept = _entry_test(inst, inst.q.den)
-    for side in (thr, -thr):
-        x = t * w + side
-        for v in (x.floor(), -(-x).floor()):
-            assert accept(v, w) == (v - t * w).abs_le(thr)
-
-
 def test_verifier_work_is_per_instance():
     # t = 49 and thr = 1/49: no certified sign for any matrix, the target
     # root and the field spec built at most once for all of them
