@@ -56,7 +56,6 @@ from .matrices import (
     determinantal_divisors,
     is_q_good,
     minor_set,
-    smith_normal_form,
 )
 from .primes import (
     ResidueSystem,

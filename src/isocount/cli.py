@@ -7,6 +7,7 @@ codes: 0 success, 1 domain/usage error, 2 resource or budget error.
 
 import argparse
 import os
+import re
 import sys
 
 from .bounds import SpectralParameters, basic_estimate, c_function_norm, delta_calculator
@@ -18,6 +19,7 @@ from .recursion import proposition_driver
 from .serialize import (
     dumps,
     fraction_from_str,
+    int_to_str,
     integer_matrix_from_json,
     matrix_to_json,
     rational_sym_matrix_from_json,
@@ -118,7 +120,10 @@ def _parse_nu(text):
 
 
 def _emit(obj, out_path):
-    text = dumps(obj)
+    _emit_text(dumps(obj), out_path)
+
+
+def _emit_text(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -157,8 +162,11 @@ def cmd_count(args):
 
 def cmd_detdiv(args):
     m = integer_matrix_from_json(read_json(args.matrix))
-    deltas = determinantal_divisors(m)
-    _emit({"schema": 1, "delta": list(deltas)}, args.out)
+    # each Delta goes in as its decimal text and comes out as a bare JSON
+    # number: json's own str() of an int refuses more than 4300 digits
+    deltas = [int_to_str(d) for d in determinantal_divisors(m)]
+    text = re.sub(r'"(\d+)"', r"\1", dumps({"schema": 1, "delta": deltas}))
+    _emit_text(text, args.out)
 
 
 def cmd_qgood(args):

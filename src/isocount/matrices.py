@@ -1,11 +1,11 @@
 """Exact integer/rational matrix primitives.
 
 The exact elimination kernel (`Echelon`, with `det` and `solve` on top),
-the bilinear forms x^T A y and G^T A G (`bilinear`, `congruence`), Smith
-normal form with a deterministic pivot rule, determinantal divisors,
-denominators, 2x2 minor sets and the quadratic-residue goodness test for
-primes.  No floating point anywhere; entries are Python ints, Fractions or,
-for the elimination kernel and the bilinear forms, radical-field elements.
+the bilinear forms x^T A y and G^T A G (`bilinear`, `congruence`),
+determinantal divisors, denominators, 2x2 minor sets and the
+quadratic-residue goodness test for primes.  No floating point anywhere;
+entries are Python ints, Fractions or, for the elimination kernel and the
+bilinear forms, radical-field elements.
 """
 
 import itertools
@@ -215,36 +215,19 @@ def solve(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Determinantal divisors
 
 
-def smith_normal_form(gamma):
-    """(U, D, V) unimodular/diagonal/unimodular with gamma = U * D * V.
+def determinantal_divisors(gamma):
+    """(Delta_1, ..., Delta_n): running products of the Smith diagonal
+    d_1 | d_2 | ... | d_n >= 0.
 
-    D has d_1 | d_2 | ... | d_n >= 0; see `_smith_reduce` for the pivot
-    rule, which makes the factor triple reproducible.
+    Row and column steps reduce a working copy W of gamma to that diagonal.
+    Pivot rule: smallest absolute value among nonzero entries of the working
+    block, ties broken by row-major position.
     """
     n = gamma.n
     w = [list(r) for r in gamma.rows]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _smith_reduce(w, u, v)
-    return IntegerMatrix(u, max_dim=n), IntegerMatrix(w, max_dim=n), IntegerMatrix(v, max_dim=n)
-
-
-def _smith_reduce(w, u=None, v=None):
-    """Reduce the square integer lists `w` in place to the Smith diagonal
-    d_1 | d_2 | ... | d_n >= 0.
-
-    Pivot rule: smallest absolute value among nonzero entries of the working
-    submatrix, ties broken by row-major position.  Given `u` and `v` (both
-    starting as the identity), each step's inverse is applied to them, so
-    that gamma = U * W * V holds throughout.  Without them only W is
-    reduced: on entries mixing small and huge magnitudes the transforms
-    grow by about one huge entry per round, far beyond W itself.
-    """
-    n = len(w)
-    track = u is not None
     for k in range(n):
         # rows and columns before k are done (zero off the diagonal), so
         # the steps on W touch only the block from (k, k) on
@@ -264,20 +247,12 @@ def _smith_reduce(w, u=None, v=None):
             i, j = piv
             if i != k:
                 w[i], w[k] = w[k], w[i]
-                if track:
-                    for r in u:
-                        r[i], r[k] = r[k], r[i]
             if j != k:
                 for r in w:
                     r[j], r[k] = r[k], r[j]
-                if track:
-                    v[j], v[k] = v[k], v[j]
             wk = w[k]
             if wk[k] < 0:
                 wk = w[k] = [-x for x in wk]
-                if track:
-                    for r in u:
-                        r[k] = -r[k]
             p = wk[k]
             # each step leaves the remainder mod p behind; any nonzero one
             # is a smaller pivot for the next round
@@ -288,9 +263,6 @@ def _smith_reduce(w, u=None, v=None):
                     q = wi[k] // p
                     for j in block:  # W[i] -= q*W[k]
                         wi[j] -= q * wk[j]
-                    if track:  # U[:,k] += q*U[:,i]
-                        for r in u:
-                            r[k] += q * r[i]
                     dirty = dirty or wi[k] != 0
             for j in range(k + 1, n):
                 if wk[j]:
@@ -298,10 +270,6 @@ def _smith_reduce(w, u=None, v=None):
                     for i in block:  # W[:,j] -= q*W[:,k]
                         r = w[i]
                         r[j] -= q * r[k]
-                    if track:  # V[k] += q*V[j]
-                        vk, vj = v[k], v[j]
-                        for c in range(n):
-                            vk[c] += q * vj[c]
                     dirty = dirty or wk[j] != 0
             if dirty:
                 continue
@@ -312,14 +280,11 @@ def _smith_reduce(w, u=None, v=None):
             )
             if offender is None:
                 break
-            # fold the offending row into row k and redo:
-            # W[k] += W[o]  =>  U[:,o] -= U[:,k]
+            # fold the offending row into row k and redo
             wo = w[offender]
             for j in block:
                 wk[j] += wo[j]
-            if track:
-                for r in u:
-                    r[offender] -= r[k]
+    return tuple(itertools.accumulate((w[i][i] for i in range(n)), operator.mul))
 
 
 def determinantal_divisor(gamma, j):
@@ -327,14 +292,6 @@ def determinantal_divisor(gamma, j):
     if not 1 <= j <= gamma.n:
         raise DomainError("index %d outside 1..%d" % (j, gamma.n))
     return determinantal_divisors(gamma)[j - 1]
-
-
-def determinantal_divisors(gamma):
-    """(Delta_1, ..., Delta_n): running products of the Smith diagonal, in
-    one pass that builds no transforms."""
-    w = [list(r) for r in gamma.rows]
-    _smith_reduce(w)
-    return tuple(itertools.accumulate((w[i][i] for i in range(gamma.n)), operator.mul))
 
 
 def determinantal_divisor_oracle(rows, j):
@@ -435,13 +392,10 @@ class RationalSymMatrix:
             )
         return self._tilde
 
-    def minor_set(self, all_pairs=False):
-        if not all_pairs and self._minors is not None:
-            return self._minors
-        out = minor_set(self, all_pairs=all_pairs)
-        if not all_pairs:
-            object.__setattr__(self, "_minors", out)
-        return out
+    def minor_set(self):
+        if self._minors is None:
+            object.__setattr__(self, "_minors", minor_set(self))
+        return self._minors
 
     def quadratic_value(self, y):
         """y^T Q y as a Fraction."""
@@ -474,29 +428,15 @@ def denominator(entries):
     return math.lcm(*(Fraction(x).denominator for row in entries for x in row))
 
 
-def minor_set(q, all_pairs=False):
-    """The 2x2-determinant set of the integralization of Q.
-
-    Principal minors (rows = columns = {i, j}) by default; all_pairs=True
-    widens to every nonnegative 2x2 determinant of the integralization.
-    """
+def minor_set(q):
+    """The principal 2x2 minors (rows = columns = {i, j}) of the
+    integralization of Q."""
     t = q.tilde
-    n = q.n
-    out = set()
-    if not all_pairs:
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.add(t[i, i] * t[j, j] - t[i, j] * t[j, i])
-    else:
-        for r1, r2 in itertools.combinations(range(n), 2):
-            for c1, c2 in itertools.combinations(range(n), 2):
-                d = t[r1, c1] * t[r2, c2] - t[r1, c2] * t[r2, c1]
-                if d >= 0:
-                    out.add(d)
-    return frozenset(out)
+    return frozenset(t[i, i] * t[j, j] - t[i, j] * t[j, i]
+                     for i, j in itertools.combinations(range(q.n), 2))
 
 
-def is_q_good(p, q, all_pairs=False):
+def is_q_good(p, q):
     """True iff p avoids the diagonal of the integralization and -d is a
     nonresidue mod p for every d in the minor set.
 
@@ -506,7 +446,7 @@ def is_q_good(p, q, all_pairs=False):
     for i in range(q.n):
         if t[i, i] % p == 0:
             return False
-    for d in q.minor_set(all_pairs=all_pairs):
+    for d in q.minor_set():
         if kronecker(-d, p) != -1:
             return False
     return True

@@ -50,15 +50,13 @@ class RadicalFieldSpec:
 
     __slots__ = ("degree", "radicands", "primes", "_root_cache")
 
-    def __init__(self, degree, radicands=(), max_generators=None):
+    def __init__(self, degree, radicands=()):
         degree = int(degree)
         if degree < 1:
             raise DomainError("degree must be >= 1")
         rads = tuple(Fraction(r) for r in radicands)
         if any(r <= 0 for r in rads):
             raise DomainError("radicands must be positive rationals")
-        if max_generators is not None and len(rads) > max_generators:
-            raise DomainError("too many radicands (%d > %d)" % (len(rads), max_generators))
         primes = set()
         for r in rads:
             primes.update(factorize_fraction(r))

@@ -19,7 +19,6 @@ from .matrices import (
     determinantal_divisor_oracle,
     determinantal_divisors,
     is_q_good,
-    smith_normal_form,
 )
 
 MODULES = (
@@ -52,10 +51,6 @@ def _check_matrices(rng):
     for _ in range(120):
         n = rng.choice([2, 3, 4])
         m = IntegerMatrix([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
-        u, d, v = smith_normal_form(m)
-        if u.matmul(d).matmul(v) != m or abs(u.det()) != 1 or abs(v.det()) != 1:
-            ok = False
-            break
         for j in range(1, n + 1):
             if determinantal_divisor(m, j) != determinantal_divisor_oracle(m.rows, j):
                 ok = False

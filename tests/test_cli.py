@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from isocount.arith import MAX_SIEVE
 from isocount.cli import main
 from isocount.matrices import determinantal_divisor_oracle
-from isocount.serialize import dumps
+from isocount.serialize import dumps, int_to_str
 
 
 def run_cli(args, capsys):
@@ -89,6 +89,16 @@ def test_detdiv_on_mixed_magnitudes(tmp_path, capsys):
     assert rc == 0
     want = [determinantal_divisor_oracle(rows, j) for j in range(1, 7)]
     assert json.loads(out)["delta"] == want
+
+
+def test_detdiv_prints_a_delta_of_any_length(tmp_path, capsys):
+    # Delta_2 = (10^2200 + 1)^2 has 4401 digits, past the limit of str(int)
+    x = 10 ** 2200 + 1
+    path = tmp_path / "m.json"
+    path.write_text(dumps({"entries": [[str(x), "1"], ["0", str(x)]]}))
+    rc, out, _ = run_cli(["detdiv", "--matrix", str(path)], capsys)
+    assert rc == 0
+    assert json.loads(out, parse_int=str)["delta"] == [int_to_str(1), int_to_str(x * x)]
 
 
 def test_count(instance_file, capsys, tmp_path):
