@@ -5,13 +5,17 @@ the bilinear forms x^T A y and G^T A G (`bilinear`, `congruence`),
 determinantal divisors, denominators, 2x2 minor sets and the
 quadratic-residue goodness test for primes.  No floating point anywhere;
 entries are Python ints, Fractions or, for the elimination kernel and the
-bilinear forms, radical-field elements.
+bilinear forms, radical-field elements.  The one int64 guard for the
+numpy passes over stacks of integer matrices (`fits_int64`, `int64_stack`)
+lives here too, so every such pass proves its bound the same way.
 """
 
 import itertools
 import math
 import operator
 from fractions import Fraction
+
+import numpy as np
 
 from .arith import kronecker
 from .errors import DomainError
@@ -73,14 +77,6 @@ class IntegerMatrix:
     def columns(self):
         return tuple(self.column(j) for j in range(self.n))
 
-    def matmul(self, other):
-        n = self.n
-        a, b = self.rows, other.rows
-        return IntegerMatrix(
-            [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)],
-            max_dim=n,
-        )
-
     def det(self):
         return _int_det(self.rows)
 
@@ -92,6 +88,32 @@ class IntegerMatrix:
         for x in self.flat():
             g = math.gcd(g, abs(x))
         return g
+
+
+# numpy passes over stacks of integer matrices form their products in int64
+# for at most BATCH matrices at a time
+INT64_MAX = 2 ** 63 - 1
+BATCH = 4096
+
+
+def fits_int64(n, gmax, kmax, s):
+    """True when gamma^T K gamma - s K is formed exactly in int64 for every
+    n x n gamma with entries at most gmax and symmetric K with entries at
+    most kmax in absolute value.  Each entry of gamma^T K gamma is a sum of
+    n^2 products of size at most gmax^2 kmax (the entries of gamma^T K
+    stay below n gmax kmax) and s K adds |s| kmax, so every product and
+    partial sum is at most kmax (n^2 gmax^2 + |s|)."""
+    return kmax * (n * n * gmax * gmax + abs(s)) <= INT64_MAX
+
+
+def int64_stack(gammas):
+    """(int64 array of the gammas, largest |entry|); (None, 2^63) when an
+    entry lies outside int64, which no fits_int64 bound admits."""
+    try:
+        arr = np.array([gamma.rows for gamma in gammas], dtype=np.int64)
+    except OverflowError:
+        return None, 2 ** 63
+    return arr, max(int(arr.max()), -int(arr.min()))
 
 
 def _int_det(rows):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import ConstantsConfig, condition_d_holds, condition_n_holds
-from .enumeration import CountingInstance, enum_S, verify_membership
+from .enumeration import CountingInstance, enum_S, verify_batch, verify_membership
 from .errors import DomainError, ResourceBudgetError
 from .matrices import Region
 from .primes import good_prime_set, residue_system
@@ -476,7 +476,11 @@ def _verify_pair(cache, star_cache, q_star, p, qq, nu, n, config):
         return PairVerdict(p=p, q=qq, nu=nu, case=case.name, count=None,
                            prime_count=None, envelope_ok=None, containment_ok=None,
                            skipped="budget")
-    containment = all(verify_membership(inst_star, g) for g in ss.matrices)
+    # the cached set passed Delta_1 and Delta_2 against the same (a, b)
+    mask = verify_batch(inst_star, ss.matrices, divisors=False)
+    if mask is None:
+        mask = (verify_membership(inst_star, g) for g in ss.matrices)
+    containment = all(mask)
     if case is PairCase.CASE1:
         envelope_ok = ss.count == 0 and star_set.count == 0
         # certified two ways: symbolic short-circuit and forced empty search

@@ -5,6 +5,7 @@ are serialized as decimal strings with a precision tag (see intervals).
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import DomainError, ResourceBudgetError
@@ -41,6 +42,41 @@ def int_to_str(k):
     return digits(k, len(powers) - 1)
 
 
+def str_to_int(text):
+    """The int of a signed decimal digit string of any length, joined at the
+    powers 10^(600 * 2^j) as int_to_str splits it."""
+    if text[:1] in "+-":
+        k = str_to_int(text[1:])
+        return -k if text[0] == "-" else k
+    if len(text) <= DIGIT_BLOCK:
+        return int(text)
+    powers = [(DIGIT_BLOCK, _BLOCK)]
+    while 2 * powers[-1][0] < len(text):
+        width, power = powers[-1]
+        powers.append((2 * width, power * power))
+
+    def value(digits, level):  # len(digits) <= 2 * 600 * 2^level
+        if level < 0:
+            return int(digits)
+        width, power = powers[level]
+        if len(digits) <= width:
+            return value(digits, level - 1)
+        return value(digits[:-width], level - 1) * power + value(digits[-width:], level - 1)
+
+    return value(text, len(powers) - 1)
+
+
+def _quote(text, limit=60):
+    """repr of text, cut to its first `limit` characters when longer."""
+    if len(text) <= limit:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:limit], len(text))
+
+
+# "p" or "p/q" with decimal digits, underscores between them as in int()
+_INT_RATIO = re.compile(r"([+-]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
+
+
 def fraction_to_str(x):
     x = Fraction(x)
     if x.denominator == 1:
@@ -53,16 +89,23 @@ def fraction_from_str(s):
         return Fraction(s)
     if isinstance(s, str):
         s = s.strip()
+        ratio = _INT_RATIO.fullmatch(s)
+        if ratio:
+            num, den = (str_to_int(x.replace("_", "")) if x else 1 for x in ratio.groups())
+            if not den:
+                raise DomainError("bad rational literal %s: zero denominator" % _quote(s))
+            return Fraction(num, den)
         _, sep, expo = s.lower().partition("e")
         digits = expo.lstrip("+-").replace("_", "")
         # Fraction would build 10^|k|, at least 3.3 Mbit for a 7-digit k
         if sep and digits.isdigit() and len(digits.lstrip("0")) > 6:
-            raise ResourceBudgetError("the exponent of the rational literal %r is too large" % s)
+            raise ResourceBudgetError(
+                "the exponent of the rational literal %s is too large" % _quote(s))
         try:
             return Fraction(s)
-        except (ValueError, ZeroDivisionError) as e:
-            raise DomainError("bad rational literal %r: %s" % (s, e))
-    raise DomainError("bad rational value %r" % (s,))
+        except ValueError:
+            raise DomainError("bad rational literal %s" % _quote(s)) from None
+    raise DomainError("bad rational value %s" % _quote(repr(s)))
 
 
 def matrix_to_json(m):
@@ -119,4 +162,4 @@ def write_json(path, obj):
 
 def read_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=str_to_int)

@@ -8,7 +8,9 @@ symmetric matrices.  Gathering kernels over all enumerated gamma for a set
 of prime-power pairs produces the subspace in which the reference matrix
 can be exchanged for one with controlled arithmetic and no error term; the
 containment that justifies the exchange is re-verified here by direct
-membership of every enumerated matrix.
+membership of every enumerated matrix (its entries against the
+replacement in one batch; its determinantal divisors were checked against
+the same b when it was enumerated).
 """
 
 import itertools
@@ -21,6 +23,7 @@ from .enumeration import (
     CountingInstance,
     SymbolicSymMatrix,
     enum_S,
+    verify_batch,
     verify_membership,
 )
 from .errors import (
@@ -32,11 +35,14 @@ from .errors import (
     ZeroKernel,
 )
 from .matrices import (
+    BATCH,
     Echelon,
     IntegerMatrix,
     RationalSymMatrix,
     Region,
     congruence,
+    fits_int64,
+    int64_stack,
     ldl,
     solve,
 )
@@ -190,32 +196,6 @@ def full_sym_subspace(n):
     return SymSubspace(n=n, spec=spec, generator_rows=(), provenance=(), basis=tuple(basis))
 
 
-# the batched kernel-side test forms gamma^T K gamma - s K in int64 for at
-# most BATCH matrices at a time
-INT64_MAX = 2 ** 63 - 1
-BATCH = 4096
-
-
-def fits_int64(n, gmax, kmax, s):
-    """True when gamma^T K gamma - s K is formed exactly in int64 for every
-    n x n gamma with entries at most gmax and symmetric K with entries at
-    most kmax in absolute value.  Each entry of gamma^T K gamma is a sum of
-    n^2 products of size at most gmax^2 kmax (the entries of gamma^T K
-    stay below n gmax kmax) and s K adds |s| kmax, so every product and
-    partial sum is at most kmax (n^2 gmax^2 + |s|)."""
-    return kmax * (n * n * gmax * gmax + abs(s)) <= INT64_MAX
-
-
-def _int64_stack(gammas):
-    """(int64 array of the gammas, largest |entry|); (None, 2^63) when an
-    entry lies outside int64, which no fits_int64 bound admits."""
-    try:
-        arr = np.array([gamma.rows for gamma in gammas], dtype=np.int64)
-    except OverflowError:
-        return None, 2 ** 63
-    return arr, max(int(arr.max()), -int(arr.min()))
-
-
 class _GreedySelection:
     """The greedy scan: the rows kept so far, their Echelon, and an integral
     basis of their common kernel.
@@ -275,7 +255,7 @@ class _GreedySelection:
         while i < len(chunk) and not self.full:
             if isinstance(s, int) and self.int_kernel:
                 if gmax is None:
-                    arr, gmax = _int64_stack([gamma for gamma, _, _ in chunk])
+                    arr, gmax = int64_stack([gamma for gamma, _, _ in chunk])
                 kmax = max(abs(x) for k in self.kernel for x in k)
                 if fits_int64(self.n, gmax, kmax, s):
                     i = self._first_live(arr, i, s)
@@ -600,11 +580,14 @@ def exchange_step(
     for pair, ss in sorted(solutions.items()):
         p, qq, nu = pair
         inst_prime = CountingInstance(q_prime_mat, a=qq ** nu, b=p ** nu, big_m=None)
-        for gamma in ss.matrices:
-            if verify_membership(inst_prime, gamma):
-                verified += 1
-            else:
-                violations += 1
+        # enum_S checked Delta_1 and Delta_2 of these matrices against the
+        # same b, so the batch checks the entries against Q' only
+        mask = verify_batch(inst_prime, ss.matrices, divisors=False)
+        if mask is None:
+            mask = [verify_membership(inst_prime, gamma) for gamma in ss.matrices]
+        ok = sum(mask)
+        verified += ok
+        violations += len(mask) - ok
     if violations:
         raise InternalConsistencyError(
             "%d enumerated matrices escape the exchanged set" % violations

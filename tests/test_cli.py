@@ -101,6 +101,28 @@ def test_detdiv_prints_a_delta_of_any_length(tmp_path, capsys):
     assert json.loads(out, parse_int=str)["delta"] == [int_to_str(1), int_to_str(x * x)]
 
 
+@pytest.mark.parametrize("as_text", [True, False])
+def test_detdiv_reads_an_entry_of_any_length(tmp_path, capsys, as_text):
+    # the entry 10^5000 has 5001 digits, past the limit of int(str), as a
+    # JSON string and as a JSON number
+    digits = "1" + "0" * 5000
+    path = tmp_path / "m.json"
+    entry = '"%s"' % digits if as_text else digits
+    path.write_text('{"entries": [[%s, 1], [0, 1]]}' % entry)
+    rc, out, _ = run_cli(["detdiv", "--matrix", str(path)], capsys)
+    assert rc == 0
+    assert json.loads(out, parse_int=str)["delta"] == ["1", digits]
+
+
+def test_a_long_bad_literal_gives_a_short_error_line(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(dumps({"entries": [["x" * 5000, "1"], ["0", "1"]]}))
+    rc, out, err = run_cli(["detdiv", "--matrix", str(path)], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: bad rational literal 'xxx") and "5000 characters" in err
+    assert len(err.encode()) < 200
+
+
 def test_count(instance_file, capsys, tmp_path):
     emit = str(tmp_path / "mats.json")
     rc, out, _ = run_cli(

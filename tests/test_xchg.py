@@ -297,6 +297,13 @@ def test_membership_against_lifted_rational_symbolic_q():
 CUBIC_COMPANION = IntegerMatrix([[0, 0, 2], [1, 0, 0], [0, 1, 0]])
 
 
+def matmul(a, b):
+    n = a.n
+    return IntegerMatrix(
+        [[sum(a[i, k] * b[k, j] for k in range(n)) for j in range(n)] for i in range(n)]
+    )
+
+
 @st.composite
 def contributions(draw):
     """1-3 contributions of one family: c times a signed permutation (mostly
@@ -308,7 +315,7 @@ def contributions(draw):
     for k in range(draw(st.integers(1, 3))):
         if family == "companion":
             power = draw(st.integers(1, 2))
-            gamma = CUBIC_COMPANION if power == 1 else CUBIC_COMPANION.matmul(CUBIC_COMPANION)
+            gamma = CUBIC_COMPANION if power == 1 else matmul(CUBIC_COMPANION, CUBIC_COMPANION)
             m = 4 ** power if draw(st.integers(0, 3)) else draw(st.sampled_from([1, 2, 8]))
         elif family == "scaled":
             c = draw(st.integers(1, 2))
