@@ -10,11 +10,12 @@ and prunes partial assignments with the pairwise bilinear condition, the
 mod-b minor congruence, and the search box.  Every emitted matrix is
 re-verified post hoc through an independent code path (gcd-of-minors
 determinantal divisors and one congruence gamma^T den(Q)Q gamma), one
-matrix at a time by verify_membership.  verify_batch runs the same route
-on numpy for a whole solution list (the exchange's second pass and the
-chain's pair verdicts), in slices of at most matrices.BATCH, whenever t
-and the threshold are rational and matrices.fits_int64 bounds every
-entry, congruence value and minor; otherwise it returns None and the
+matrix at a time by verify_membership.  verify_batch runs its congruence
+test on numpy for a whole solution list (the exchange's second pass and
+the chain's pair verdicts, whose matrices already passed Delta_1 and
+Delta_2 against the same b), in slices of at most matrices.BATCH,
+whenever t and the threshold are rational and matrices.fits_int64 bounds
+every entry and congruence value; otherwise it returns None and the
 caller loops the scalar reference verify_membership.
 
 The search decides membership in integers only: once per instance,
@@ -35,7 +36,6 @@ otherwise it is the certified sign in the field of t and thr, built per
 call.  Neither comes from the search's windows.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -352,18 +352,18 @@ def verify_membership(instance, gamma):
     return all(accept(g[i][j], rows[i][j]) for i in range(n) for j in range(i, n))
 
 
-def verify_batch(instance, gammas, divisors=True):
-    """verify_membership over a list of matrices as one numpy pass per
-    slice of at most BATCH: the mask [verify_membership(instance, g) for g
-    in gammas], or None when the pass cannot decide every entry exactly
-    (symbolic Q, irrational t, irrational threshold, a gamma of another
-    size, or the int64 bound fails), so the caller runs the scalar loop.
+def verify_batch(instance, gammas):
+    """The entry test of verify_membership over a list of matrices, as one
+    numpy pass per slice of at most BATCH: the mask of gammas whose gamma^T
+    Q gamma is admissible against t Q, or None when the pass cannot decide
+    every entry exactly (symbolic Q, irrational t, irrational threshold, a
+    gamma of another size, or the int64 bound fails), so the caller runs
+    the scalar loop.  Delta_1 and Delta_2 are not checked: the callers'
+    matrices passed them against the same b when they were enumerated.
 
-    Same route as the scalar check, nothing from the search: Delta_1 is the
-    gcd of the entries, Delta_2 the gcd of the closed-form 2x2 minors, and
-    entry (i, j), i <= j, of gamma^T R gamma, R = den(Q)Q, is compared with
-    r R_ij for t = r.  With divisors=False only the entries are checked, for a
-    caller whose matrices already passed Delta_1 = 1 and Delta_2 = b."""
+    Same route as the scalar check, nothing from the search: entry (i, j),
+    i <= j, of gamma^T R gamma, R = den(Q)Q, is compared with r R_ij for
+    t = r."""
     q = instance.q
     t = instance.target
     if isinstance(q, SymbolicSymMatrix) or not t.is_rational:
@@ -388,13 +388,9 @@ def verify_batch(instance, gammas, divisors=True):
     R = np.array(rows, dtype=np.int64)
     iu, ju = np.triu_indices(n)
     rw = r * R[iu, ju]
-    pairs = np.array(list(itertools.combinations(range(n), 2))).T
-    (r1, r2), (c1, c2) = pairs[:, :, None], pairs[:, None, :]
     mask = []
     for lo in range(0, len(gammas), BATCH):
         g, gmax = int64_stack(gammas[lo:lo + BATCH])
-        # v, r w and the minors (at most 2 gmax^2) are all bounded by
-        # rmax (n^2 gmax^2 + |r|); b <= t = r, so b fits as well
         if not fits_int64(n, gmax, rmax, r):
             return None
         v = (g.transpose(0, 2, 1) @ R @ g)[:, iu, ju]
@@ -402,11 +398,6 @@ def verify_batch(instance, gammas, divisors=True):
             ok = (v == rw).all(axis=1)
         else:
             ok = (np.abs(v - rw) <= bound).all(axis=1)
-        if divisors:
-            k = len(g)
-            ok &= np.gcd.reduce(g.reshape(k, n * n), axis=1) == 1
-            minors = g[:, r1, c1] * g[:, r2, c2] - g[:, r1, c2] * g[:, r2, c1]
-            ok &= np.gcd.reduce(minors.reshape(k, -1), axis=1) == instance.b
         mask.extend(ok.tolist())
     return mask
 

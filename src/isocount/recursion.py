@@ -477,7 +477,7 @@ def _verify_pair(cache, star_cache, q_star, p, qq, nu, n, config):
                            prime_count=None, envelope_ok=None, containment_ok=None,
                            skipped="budget")
     # the cached set passed Delta_1 and Delta_2 against the same (a, b)
-    mask = verify_batch(inst_star, ss.matrices, divisors=False)
+    mask = verify_batch(inst_star, ss.matrices)
     if mask is None:
         mask = (verify_membership(inst_star, g) for g in ss.matrices)
     containment = all(mask)

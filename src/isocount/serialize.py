@@ -8,6 +8,7 @@ import json
 import re
 from fractions import Fraction
 
+from .arith import MAX_POWER_BITS
 from .errors import DomainError, ResourceBudgetError
 from .matrices import IntegerMatrix, RationalSymMatrix
 
@@ -18,6 +19,8 @@ SCHEMA = 1
 # which is never below 640; longer ints are printed in blocks of 600 digits
 DIGIT_BLOCK = 600
 _BLOCK = 10 ** DIGIT_BLOCK
+# digits of the longest integer literal read: 10^MAX_DIGITS < 2^MAX_POWER_BITS
+MAX_DIGITS = MAX_POWER_BITS * 3 // 10
 
 
 def int_to_str(k):
@@ -43,11 +46,15 @@ def int_to_str(k):
 
 
 def str_to_int(text):
-    """The int of a signed decimal digit string of any length, joined at the
-    powers 10^(600 * 2^j) as int_to_str splits it."""
+    """The int of a signed decimal digit string, joined at the powers
+    10^(600 * 2^j) as int_to_str splits it.  ResourceBudgetError beyond
+    MAX_DIGITS digits, about the length of a 2^MAX_POWER_BITS-bit int."""
     if text[:1] in "+-":
         k = str_to_int(text[1:])
         return -k if text[0] == "-" else k
+    if len(text) > MAX_DIGITS:
+        raise ResourceBudgetError(
+            "an integer literal of %d digits exceeds the budget of %d" % (len(text), MAX_DIGITS))
     if len(text) <= DIGIT_BLOCK:
         return int(text)
     powers = [(DIGIT_BLOCK, _BLOCK)]

@@ -582,7 +582,7 @@ def exchange_step(
         inst_prime = CountingInstance(q_prime_mat, a=qq ** nu, b=p ** nu, big_m=None)
         # enum_S checked Delta_1 and Delta_2 of these matrices against the
         # same b, so the batch checks the entries against Q' only
-        mask = verify_batch(inst_prime, ss.matrices, divisors=False)
+        mask = verify_batch(inst_prime, ss.matrices)
         if mask is None:
             mask = [verify_membership(inst_prime, gamma) for gamma in ss.matrices]
         ok = sum(mask)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from isocount.arith import MAX_SIEVE
 from isocount.cli import main
 from isocount.matrices import determinantal_divisor_oracle
-from isocount.serialize import dumps, int_to_str
+from isocount.serialize import MAX_DIGITS, dumps, int_to_str
 
 
 def run_cli(args, capsys):
@@ -112,6 +112,17 @@ def test_detdiv_reads_an_entry_of_any_length(tmp_path, capsys, as_text):
     rc, out, _ = run_cli(["detdiv", "--matrix", str(path)], capsys)
     assert rc == 0
     assert json.loads(out, parse_int=str)["delta"] == ["1", digits]
+
+
+@pytest.mark.parametrize("as_text", [True, False])
+def test_detdiv_refuses_an_entry_past_the_digit_budget(tmp_path, capsys, as_text):
+    digits = "1" * (MAX_DIGITS + 1)
+    path = tmp_path / "m.json"
+    entry = '"-%s"' % digits if as_text else "-" + digits
+    path.write_text('{"entries": [[%s, 1], [0, 1]]}' % entry)
+    rc, out, err = run_cli(["detdiv", "--matrix", str(path)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("resource error: ") and len(err.encode()) < 200
 
 
 def test_a_long_bad_literal_gives_a_short_error_line(tmp_path, capsys):

@@ -1,11 +1,12 @@
-"""The batched membership check against the scalar reference.
+"""The batched entry check against the scalar reference.
 
-`verify_batch` must give `verify_membership`'s verdict for every matrix, or
-None when it cannot decide exactly; with divisors=False it must give the
-entry test alone.  The matrices mix solutions of the instance, solutions of
-an instance with the same s but another b (they fail only Delta_2), scaled
-solutions (they fail Delta_1), one-entry perturbations, small random
-matrices and matrices with entries at the int64 bound.
+`verify_batch` must give the entry test of `verify_membership` for every
+matrix, so `verify_membership`'s verdict wherever Delta_1 = 1 and
+Delta_2 = b, or None when it cannot decide exactly.  The matrices mix
+solutions of the instance, solutions of an instance with the same s but
+another b (they fail only Delta_2), scaled solutions (they fail Delta_1),
+one-entry perturbations, small random matrices and matrices with entries
+at the int64 bound.
 """
 
 import math
@@ -30,6 +31,7 @@ from isocount.matrices import (
     IntegerMatrix,
     RationalSymMatrix,
     congruence,
+    determinantal_divisor_oracle,
     fits_int64,
 )
 from isocount.radicals import RadicalFieldSpec
@@ -129,35 +131,30 @@ def _decidable(inst, gammas):
 def test_batch_equals_the_scalar_check(case, batch):
     inst, gammas = case
     with mock.patch.object(enumeration, "BATCH", batch):
-        full = verify_batch(inst, gammas)
-        entries = verify_batch(inst, gammas, divisors=False)
+        mask = verify_batch(inst, gammas)
     # None exactly when an entry cannot be decided in int64
-    assert (full is not None) == (entries is not None) == _decidable(inst, gammas)
-    if full is not None:
-        assert full == [verify_membership(inst, g) for g in gammas]
-    if entries is not None:
-        assert entries == [entry_part(inst, g) for g in gammas]
+    assert (mask is not None) == _decidable(inst, gammas)
+    if mask is not None:
+        assert mask == [entry_part(inst, g) for g in gammas]
+        for ok, g in zip(mask, gammas):
+            divisors = (determinantal_divisor_oracle(g.rows, 1) == 1
+                        and determinantal_divisor_oracle(g.rows, 2) == inst.b)
+            assert verify_membership(inst, g) == (divisors and ok)
 
 
-def test_each_check_fails_on_its_own():
+def test_the_batch_checks_the_entries_only():
     # S(I3, 3, 3) against (I3, 27, 1): same t = 9, Delta_2 = 3 instead of 1
     only_delta2 = _solutions(I3, 3, 3, None)[0]
     inst = CountingInstance(I3, 27, 1)
-    assert verify_batch(inst, [only_delta2]) == [False]
-    assert verify_batch(inst, [only_delta2], divisors=False) == [True]
-    # 2 I2 at (I2, 1, 4): t = 4 and Delta_2 = 4, but Delta_1 = 2
-    only_delta1 = IntegerMatrix([[2, 0], [0, 2]])
-    inst = CountingInstance(I2, 1, 4)
-    assert verify_batch(inst, [only_delta1]) == [False]
-    assert verify_batch(inst, [only_delta1], divisors=False) == [True]
+    assert verify_batch(inst, [only_delta2]) == [True]
+    assert not verify_membership(inst, only_delta2)
     # columns (1, 2, 2), (2, 1, -2), (2, -2, 1) at (I3, 3, 3) are a member;
     # swapping two entries of the last column breaks two off-diagonal
-    # entries (and Delta_2) but no diagonal one
+    # entries but no diagonal one
     member = IntegerMatrix.from_columns([(1, 2, 2), (2, 1, -2), (2, -2, 1)])
     off = IntegerMatrix.from_columns([(1, 2, 2), (2, 1, -2), (-2, 2, 1)])
     inst = CountingInstance(I3, 3, 3)
     assert [verify_membership(inst, g) for g in (member, off)] == [True, False]
-    assert verify_batch(inst, [member, off], divisors=False) == [True, False]
     assert verify_batch(inst, [member, off]) == [True, False]
 
 
@@ -177,8 +174,7 @@ def test_huge_threshold_is_clamped():
     # passes its entries, as the exact comparison says
     inst = CountingInstance(I3, 3, 3, big_m=4, error_constant=10 ** 1300)
     gammas = [IntegerMatrix([[5, 1, 0], [0, 7, 1], [1, 0, 9]]), IntegerMatrix.identity(3)]
-    assert verify_batch(inst, gammas, divisors=False) == [True, True]
-    assert verify_batch(inst, gammas) == [verify_membership(inst, g) for g in gammas]
+    assert verify_batch(inst, gammas) == [True, True]
 
 
 def test_a_wrapping_product_is_refused():
@@ -189,7 +185,7 @@ def test_a_wrapping_product_is_refused():
     inst = CountingInstance(I3, 1, 1)
     assert not verify_membership(inst, gamma)
     assert verify_batch(inst, [gamma]) is None
-    assert verify_batch(inst, [IntegerMatrix.identity(3), gamma], divisors=False) is None
+    assert verify_batch(inst, [IntegerMatrix.identity(3), gamma]) is None
 
 
 def test_members_at_the_int64_edge():
@@ -224,7 +220,7 @@ def test_undecidable_instances_return_none():
 def test_entry_pass_against_another_q(q_prime, flagged):
     sols = _solutions(I3, 3, 3, None)
     inst = CountingInstance(q_prime, 3, 3)
-    mask = verify_batch(inst, sols, divisors=False)
+    mask = verify_batch(inst, sols)
     assert len(mask) == len(sols) == 192
     assert mask == [not flagged] * len(sols)
     assert mask == [verify_membership(inst, g) for g in sols]
