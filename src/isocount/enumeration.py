@@ -4,10 +4,17 @@ cut out by the near-isometry equation plus determinantal-divisor conditions.
 The vector enumerator is one fraction-free integer Fincke-Pohst walk on
 den(Q)*Q for every Q: Bareiss rows complete the square in integers, so each
 coordinate's range is a closed form in isqrt and floor division, complete
-(no misses) and exact without any correction step.  The matrix
-enumerator extends column by column, ordering columns by candidate count,
-and prunes partial assignments with the pairwise bilinear condition, the
-mod-b minor congruence, and the search box.  Every emitted matrix is
+(no misses) and exact without any correction step.  The walk recurses in
+Python down to level 2; levels 1 and 0 run as one numpy pass per suffix
+whenever one int64 bound per walk holds (a float root with one integer
+correction each way stands in for isqrt there), else in Python.  The
+matrix enumerator extends column by column, ordering columns by candidate
+count, and prunes partial assignments with the pairwise bilinear
+condition, the mod-b minor congruence, and the search box; on the int64
+path its last two columns are one numpy pass over every pair of their
+candidates.  Both passes visit, count and budget the nodes of the loops
+they replace, so stats and budget verdicts do not depend on which path
+ran.  Every emitted matrix is
 re-verified post hoc through an independent code path (gcd-of-minors
 determinantal divisors and one congruence gamma^T den(Q)Q gamma), one
 matrix at a time by verify_membership.  verify_batch runs its congruence
@@ -241,7 +248,12 @@ def _enum_window(q, lo, hi, max_entry, budget, counter):
     """All y with lo <= y^T Q y <= hi, sorted; the walk runs on the integer
     identity S y^T den(Q)Q y = sum_k w_k e_k(y)^2 (see _bareiss_rows), with
     S = lcm_k(D_k D_(k+1)) and w_k = S / (D_k D_(k+1)), so every level's
-    range is a closed form in integers."""
+    range is a closed form in integers.
+
+    Levels n-1 .. 2 recurse in Python.  Levels 1 and 0 run as one numpy
+    pass per suffix (_last_two_levels) when _walk_fits_int64 holds for the
+    walk, else in Python down to level 0; both visit and count the same
+    nodes, one per y_1 plus the length of each level-0 range."""
     if hi < 0:
         return []
     n = q.n
@@ -259,8 +271,15 @@ def _enum_window(q, lo, hi, max_entry, budget, counter):
     w = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
     lo = -scale * ((-q.den * Fraction(lo)) // 1)
     hi = scale * ((q.den * Fraction(hi)) // 1)
+    batched = n >= 2 and _walk_fits_int64(n, lo, hi, w, m, box)
     out = []
+    blocks = [np.empty((0, n), dtype=np.int64)]
     nodes = [0]
+
+    def charge(k):
+        nodes[0] += k
+        if nodes[0] > budget:
+            raise ResourceBudgetError("norm-vector enumeration budget exhausted")
 
     def descend(i, suffix, partial):
         # suffix holds y_{i+1..n-1}, partial = sum_{k>i} w_k e_k^2, and
@@ -277,28 +296,88 @@ def _enum_window(q, lo, hi, max_entry, budget, counter):
         # w e^2 <= room iff |e| <= r, since e is an integer
         r = math.isqrt(room // w[i])
         ys = range(-((c + r) // b), (r - c) // b + 1)
+        if i == 1 and batched:
+            if ys:
+                charge(len(ys))  # one node per y_1, before anything is built
+                blocks.append(_last_two_levels(m, w, lo, hi, suffix, partial, ys, charge))
+            return
         if i == 0:
             # last coordinate: w e^2 >= lo - partial adds |e| >= r_in
             need = -((partial - lo) // w[0])
             if need > 0:
                 r_in = math.isqrt(need - 1) + 1
                 ys = [*range(ys.start, (-r_in - c) // b + 1), *range(-((c - r_in) // b), ys.stop)]
-            nodes[0] += len(ys)
             out.extend((y,) + suffix for y in ys)
-            if nodes[0] > budget:
-                raise ResourceBudgetError("norm-vector enumeration budget exhausted")
+            charge(len(ys))
             return
         for y in ys:
-            nodes[0] += 1
-            if nodes[0] > budget:
-                raise ResourceBudgetError("norm-vector enumeration budget exhausted")
+            charge(1)
             e = b * y + c
             descend(i - 1, (y,) + suffix, partial + w[i] * e * e)
 
     descend(n - 1, (), 0)
     if counter is not None:
         counter[0] += nodes[0]
-    return sorted(out)
+    if not batched:
+        return sorted(out)
+    vectors = np.concatenate(blocks)
+    # lexsort's last key is its first: sort by y_0, then y_1, ...
+    vectors = vectors[np.lexsort(vectors.T[::-1])]
+    return list(map(tuple, vectors.tolist()))
+
+
+def _walk_fits_int64(n, lo, hi, w, m, box):
+    """True when the numpy pass over a walk's last two levels forms every
+    value exactly in int64 and its float roots are within 1 of the integer
+    ones.  With the scaled window [lo, hi], the pass forms the weights w_k,
+    the partial sums p (0 <= p <= hi), hi - p, p - lo and the radicands of
+    r and r_in (all at most hi + |lo|), the roots and their squares
+    (r + 1)^2 < 2^63, and the linear forms b y + c of coordinates |y| < box
+    (at most n max|m_kj| box); the ends c +- r add a root to the last."""
+    bound = max(hi + abs(lo), *w)
+    mmax = max(abs(x) for row in m for x in row)
+    return bound < 2 ** 62 and n * mmax * box + math.isqrt(bound) + 2 < 2 ** 62
+
+
+def _isqrt64(x):
+    """floor(sqrt(x)) elementwise for an int64 array 0 <= x < 2^62: the float
+    root is within 1 of it there, so one correction each way is exact."""
+    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
+
+
+def _last_two_levels(m, w, lo, hi, suffix, partial, ys, charge):
+    """Levels 1 and 0 of the walk below one suffix y_2.., as rows
+    (y_0, y_1, y_2, ..): for each y_1 in ys, e_1 = b_1 y_1 + c_1 and the
+    partial sum p = partial + w_1 e_1^2 give the level-0 range |e_0| <= r,
+    cut to |e_0| >= r_in where w_0 e_0^2 >= lo - p needs it, exactly as the
+    Python level 0 does.  The level-0 nodes are charged before the ranges
+    are expanded (np.repeat plus a cumulative offset)."""
+    y1 = np.arange(ys.start, ys.stop, dtype=np.int64)
+    e1 = m[1][1] * y1 + sum(m[1][j] * y for j, y in enumerate(suffix, 2))
+    p = partial + w[1] * (e1 * e1)
+    c = m[0][1] * y1 + sum(m[0][j] * y for j, y in enumerate(suffix, 2))
+    b = m[0][0]
+    r = _isqrt64((hi - p) // w[0])
+    start, stop = -((c + r) // b), (r - c) // b + 1
+    need = -((p - lo) // w[0])
+    ring = need > 0
+    r_in = _isqrt64(np.maximum(need - 1, 0)) + 1
+    # the range is [start, cut) + [resume, stop), one part without the ring
+    cut = np.where(ring, (-r_in - c) // b + 1, stop)
+    resume = np.where(ring, -((c - r_in) // b), stop)
+    starts = np.concatenate([start, resume])
+    lens = np.maximum(np.concatenate([cut - start, stop - resume]), 0)
+    total = int(lens.sum())
+    charge(total)
+    offsets = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
+    block = np.empty((total, 2 + len(suffix)), dtype=np.int64)
+    block[:, 0] = np.repeat(starts, lens) + offsets
+    block[:, 1] = np.repeat(np.concatenate([y1, y1]), lens)
+    block[:, 2:] = suffix
+    return block
 
 
 @dataclass
@@ -612,8 +691,10 @@ class _SearchContext:
     (x at i, y at j) is kept iff lo_ij <= x^T Qt y <= hi_ij and every 2x2
     minor of (x, y) vanishes mod b; the leaf adds the determinantal
     divisors.  While the int64 bound holds, each candidate list is one
-    int64 array of rows for the whole search, and the filter keeps rows of
-    it; otherwise (and with prune=False) the lists hold int tuples."""
+    int64 array of rows for the whole search, the filter keeps rows of it,
+    and the last two columns are one pass over all their pairs
+    (_last_pair); otherwise (and with prune=False) the lists hold int
+    tuples and every depth loops."""
 
     def __init__(self, instance, bounds, cands, stats, budget, prune):
         self.inst = instance
@@ -652,6 +733,9 @@ class _SearchContext:
         j = order[depth]
         col = cands[depth]
         if isinstance(col, np.ndarray):
+            if depth == n - 2:
+                self._last_pair(order, placed, col, cands[n - 1], out)
+                return
             col = map(tuple, col.tolist())
         for y in col:
             self.stats["nodes"] += 1
@@ -704,6 +788,42 @@ class _SearchContext:
             self.stats["prunes"]["minor"] += int(bad.sum())
             kept = kept[~bad]
         return kept
+
+    def _last_pair(self, order, placed, xs, ys, out):
+        """Depths n-2 and n-1 of dfs as one numpy pass: every row x of xs
+        (column order[n-2]) against every row y of ys (column order[n-1]),
+        with the filter's test, counters and budget (a node per x and per
+        surviving y, a window prune per x with no survivor) and the leaves
+        in the order the loops reach them.  A slice of xs makes at most
+        max(BATCH, len(ys)) pairs, so a temporary holds at most n^2 entries
+        per pair, as one verify_batch slice does per matrix; np_qt bounds
+        every dot and minor."""
+        n = self.inst.n
+        k, j = order[n - 2], order[n - 1]
+        lo, hi = self.bounds[j][k]
+        b = self.inst.b
+        r, s = self.minor_r, self.minor_s
+        prunes = self.stats["prunes"]
+        qy = self.np_qt @ ys.T
+        step = max(1, BATCH // max(1, len(ys)))
+        for start in range(0, len(xs), step):
+            part = xs[start:start + step]
+            dots = part @ qy
+            ix, iy = np.nonzero((dots >= lo) & (dots <= hi))
+            prunes["pairwise"] += dots.size - len(ix)
+            if b > 1 and len(ix):
+                x, y = part[ix], ys[iy]
+                bad = ((x[:, r] * y[:, s] - x[:, s] * y[:, r]) % b).any(axis=1)
+                prunes["minor"] += int(bad.sum())
+                ix, iy = ix[~bad], iy[~bad]
+            prunes["window"] += int((np.bincount(ix, minlength=len(part)) == 0).sum())
+            self.stats["nodes"] += len(part) + len(ix)
+            if self.stats["nodes"] > self.budget:
+                raise ResourceBudgetError("matrix enumeration budget exhausted")
+            for x, y in zip(part[ix].tolist(), ys[iy].tolist()):
+                leaf = dict(placed)
+                leaf[k], leaf[j] = tuple(x), tuple(y)
+                self._leaf(leaf, out)
 
     def _leaf(self, placed, out):
         n = self.inst.n

@@ -16,7 +16,8 @@ SCHEMA = 1
 
 
 # str() of an int refuses more than sys.get_int_max_str_digits() digits,
-# which is never below 640; longer ints are printed in blocks of 600 digits
+# which is never below 640; longer ints are printed through decimal.Decimal
+# and read in blocks of 600 digits
 DIGIT_BLOCK = 600
 _BLOCK = 10 ** DIGIT_BLOCK
 # digits of the longest integer literal read: 10^MAX_DIGITS < 2^MAX_POWER_BITS
@@ -24,25 +25,33 @@ MAX_DIGITS = MAX_POWER_BITS * 3 // 10
 
 
 def int_to_str(k):
-    """Decimal text of any int, split at the powers 10^(600 * 2^j)."""
+    """Decimal text of any int.  Past 600 digits, k is rebuilt as an exact
+    decimal.Decimal from its halves at powers of 2, down to pieces below
+    10^600: libmpdec multiplies large operands in subquadratic time, where
+    str() and divmod on an int are quadratic (the method of CPython 3.12's
+    _pylong)."""
     if k < 0:
         return "-" + int_to_str(-k)
     if k < _BLOCK:
         return str(k)
-    powers = [_BLOCK]
-    while powers[-1] ** 2 <= k:
-        powers.append(powers[-1] ** 2)
+    import decimal  # here, not at start-up: only long ints need it
 
-    def digits(x, level):  # x < powers[level]^2
-        if level < 0:
-            return str(x)
-        hi, lo = divmod(x, powers[level])
-        low = digits(lo, level - 1)
-        if not hi:
-            return low
-        return digits(hi, level - 1) + low.zfill(DIGIT_BLOCK << level)
+    powers = {}
 
-    return digits(k, len(powers) - 1)
+    def value(x, bits):  # x < 2^bits
+        if x < _BLOCK:
+            return decimal.Decimal(x)
+        half = bits >> 1
+        if half not in powers:
+            powers[half] = decimal.Decimal(2) ** half
+        hi = x >> half
+        return value(x - (hi << half), half) + value(hi, bits - half) * powers[half]
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(value(k, k.bit_length()))
 
 
 def str_to_int(text):
