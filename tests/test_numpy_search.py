@@ -226,10 +226,28 @@ def test_the_pair_pass_slices_its_rows(monkeypatch):
 @pytest.mark.parametrize("q, a, b, big_m", [(I2, 25, 1, None), (I3, 5, 5, None),
                                              (I3, 3, 3, Fraction(2)), (I4, 2, 2, None)])
 def test_search_budget_verdict_flips_at_the_node_count(workers, q, a, b, big_m):
+    # the search flips at its total node count, and each walk inside it at
+    # its own: below the largest walk the walk refuses, at it the search
     inst = CountingInstance(q, a, b, big_m=big_m)
-    ss = enum_S(inst)
+    walks = []
+    walk = enumeration._enum_window
+
+    def counted(*args):
+        counter = [0]
+        vectors = walk(*args[:5], counter)
+        walks.append(counter[0])
+        args[5][0] += counter[0]
+        return vectors
+
+    with mock.patch.object(enumeration, "_enum_window", counted):
+        ss = enum_S(inst)
     nodes = ss.stats["nodes"]
     again = enum_S(inst, budget=nodes, workers=workers)
     assert again.stats == ss.stats and again.matrices == ss.matrices
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError, match="matrix enumeration"):
         enum_S(inst, budget=nodes - 1, workers=workers)
+    assert max(walks) < nodes
+    with pytest.raises(ResourceBudgetError, match="matrix enumeration"):
+        enum_S(inst, budget=max(walks), workers=workers)
+    with pytest.raises(ResourceBudgetError, match="norm-vector enumeration"):
+        enum_S(inst, budget=max(walks) - 1, workers=workers)
