@@ -130,30 +130,23 @@ class DeltaResult:
         }
 
 
-def delta_calculator(
-    n,
-    config=None,
-    d1=None,
-    d2=None,
-    big_m=None,
-    i_max=None,
-    k_max=None,
-    allow_violations=False,
-):
+def delta_calculator(n, d1=None, d2=None, big_m=None, allow_violations=False):
     """Optimal eta and the exponent saving, worst-cased over the
     stabilization indices.
 
     For fixed indices the two competing exponents are linear in eta:
     eta * E / 2 rising and 1/(n(n-1)) - eta (n^3 + M/2) E falling, with
     E = (D1 D2)^(i+1) D1^(k+1).  A single eta must serve every admissible
-    index pair, so the rising term is worst-cased at the smallest E and the
-    falling term at the largest; the optimum sits at the exact rational
-    crossing.  The result is the saving on the squared-amplitude exponent;
-    the single-power saving is half.
+    index pair 0 <= i, k < n(n+1)/2, so the rising term is worst-cased at
+    the smallest E (i = k = 0) and the falling term at the largest; the
+    optimum sits at the exact rational crossing.  The result is the saving
+    on the squared-amplitude exponent; the single-power saving is half.
+    Missing parameters take their minimal legal values, and the conditions
+    are checked under the default ConstantsConfig.
     """
     if n < 2:
         raise DomainError("need n >= 2")
-    config = config or ConstantsConfig()
+    config = ConstantsConfig()
     if d1 is None or d2 is None or big_m is None:
         md1, md2, mm = minimal_legal_parameters(n, config)
         d1 = md1 if d1 is None else Fraction(d1)
@@ -174,10 +167,8 @@ def delta_calculator(
             "parameter conditions violated (condition_n=%s, condition_d=%s)"
             % (cond_n, cond_d)
         )
-    i_max = sym - 1 if i_max is None else min(i_max, sym - 1)
-    k_max = sym - 1 if k_max is None else min(k_max, sym - 1)
     e_min = (d1 * d2) ** 1 * d1 ** 1
-    e_max = (d1 * d2) ** (i_max + 1) * d1 ** (k_max + 1)
+    e_max = (d1 * d2) ** sym * d1 ** sym
     slope_up = e_min / 2
     intercept = Fraction(1, n * (n - 1))
     slope_down = (n ** 3 + big_m / 2) * e_max
@@ -247,7 +238,7 @@ class BoundReport:
         }
 
 
-def basic_estimate(inv_c_norm, l0, big_m, p_size, counts, n, level=1, eps=Fraction(1, 2)):
+def basic_estimate(inv_c_norm, l0, big_m, p_size, counts, n, level=1):
     """Evaluate the three-term amplified bound on the squared amplitude.
 
     counts: mapping (nu, p, q) -> count bound for the solution-set size.
@@ -304,7 +295,7 @@ def basic_estimate(inv_c_norm, l0, big_m, p_size, counts, n, level=1, eps=Fracti
         achieved_exponent=achieved,
         delta_achieved=delta_achieved,
         level=level,
-        eps=Fraction(eps),
+        eps=Fraction(1, 2),
     )
 
 

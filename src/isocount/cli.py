@@ -11,7 +11,7 @@ import re
 import sys
 
 from .bounds import SpectralParameters, basic_estimate, c_function_norm, delta_calculator
-from .enumeration import CountingInstance, enum_S
+from .enumeration import DEFAULT_BUDGET, CountingInstance, enum_S
 from .errors import DomainError, IsocountError, ResourceBudgetError
 from .matrices import determinantal_divisors
 from .primes import good_prime_set, residue_system
@@ -44,7 +44,7 @@ def build_parser():
     p = sub.add_parser("count", parents=[], help="enumerate or count one instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--exact", action="store_true", help="force the no-error-term regime")
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--emit-matrices", default=None)
     p.add_argument("--threads", type=int, default=default_threads())
     p.add_argument("--out", default=None)
@@ -67,7 +67,7 @@ def build_parser():
     p.add_argument("--M", dest="big_m", default="inf")
     p.add_argument("--pairs", default=None, help="JSON file with explicit pairs")
     p.add_argument("--nu", default=None, help="comma-separated nu values")
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=default_threads())
     p.add_argument("--out", default=None)
 
@@ -78,7 +78,7 @@ def build_parser():
     p.add_argument("--D2", dest="d2", default="1")
     p.add_argument("--M", dest="big_m", default="inf")
     p.add_argument("--nu", default=None)
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--pair-cap", type=int, default=64)
     p.add_argument("--threads", type=int, default=default_threads())
     p.add_argument("--out", default=None)

@@ -29,9 +29,10 @@ The search decides membership in integers only: once per instance,
 _entry_bounds turns each entry condition on gamma^T Q gamma into an integer
 window [lo_ij, hi_ij] for x^T den(Q)Q y (exact in every regime, certified
 floors for the radical thresholds).  Candidate filtering runs on numpy in
-every regime whenever one int64 bound, computed once from the candidate
-lists, holds (the lists are then int64 arrays for the whole search), and
-falls back to Python integers otherwise.  Columns with the same diagonal
+every regime whenever matrices.fits_int64, computed once from the
+candidate lists, bounds every dot and minor the search forms (the lists
+are then int64 arrays for the whole search), and falls back to Python
+integers otherwise.  Columns with the same diagonal
 window share one walk within a call, and the leaf computes only the Smith
 diagonal.
 
@@ -65,7 +66,7 @@ from .matrices import (
 from .radicals import RadicalFieldSpec
 
 DEFAULT_BUDGET = 10 ** 8
-DEFAULT_MAX_ENTRY = 10 ** 7
+MAX_ENTRY = 10 ** 7  # the largest search box a walk may open
 
 
 @dataclass(frozen=True)
@@ -208,19 +209,20 @@ class SolutionSet:
 # norm-vector enumeration (exact Fincke-Pohst)
 
 
-def enum_norm_vectors(q, t, tol=0, max_entry=DEFAULT_MAX_ENTRY, budget=DEFAULT_BUDGET):
+def enum_norm_vectors(q, t, tol=0):
     """All y in Z^n with |y^T Q y - t| <= tol, sorted lexicographically.
 
     Complete by construction: the search walks the exact square completion
     of den(Q)Q in integers, so every coordinate range is exact, with the
     overall box also bounded through the rational lower bound on the
-    smallest eigenvalue.
+    smallest eigenvalue.  ResourceBudgetError when that box is wider than
+    MAX_ENTRY or the walk visits more than DEFAULT_BUDGET nodes.
     """
     t = Fraction(t)
     tol = Fraction(tol)
     if tol < 0:
         raise DomainError("tolerance must be nonnegative")
-    return _enum_window(q, t - tol, t + tol, max_entry, budget, None)
+    return _enum_window(q, t - tol, t + tol, DEFAULT_BUDGET, None)
 
 
 def _bareiss_rows(a):
@@ -244,7 +246,7 @@ def _bareiss_rows(a):
     return m
 
 
-def _enum_window(q, lo, hi, max_entry, budget, counter):
+def _enum_window(q, lo, hi, budget, counter):
     """All y with lo <= y^T Q y <= hi, sorted; the walk runs on the integer
     identity S y^T den(Q)Q y = sum_k w_k e_k(y)^2 (see _bareiss_rows), with
     S = lcm_k(D_k D_(k+1)) and w_k = S / (D_k D_(k+1)), so every level's
@@ -253,7 +255,8 @@ def _enum_window(q, lo, hi, max_entry, budget, counter):
     Levels n-1 .. 2 recurse in Python.  Levels 1 and 0 run as one numpy
     pass per suffix (_last_two_levels) when _walk_fits_int64 holds for the
     walk, else in Python down to level 0; both visit and count the same
-    nodes, one per y_1 plus the length of each level-0 range."""
+    nodes, one per y_1 plus the length of each level-0 range, and charge
+    a level-0 range to the budget before building its vectors."""
     if hi < 0:
         return []
     n = q.n
@@ -263,9 +266,9 @@ def _enum_window(q, lo, hi, max_entry, budget, counter):
     # (lambda_max <= tr), which is D_n / (den tr(den Q)^(n-1))
     tr = sum(q.tilde.rows[k][k] for k in range(n))
     box = math.isqrt(q.den * tr ** (n - 1) * Fraction(hi) // minors[n]) + 1
-    if box > max_entry:
+    if box > MAX_ENTRY:
         raise ResourceBudgetError(
-            "search box %d exceeds the configured entry bound %d" % (box, max_entry)
+            "search box %d exceeds the configured entry bound %d" % (box, MAX_ENTRY)
         )
     scale = math.lcm(*(minors[k] * minors[k + 1] for k in range(n)))
     w = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
@@ -304,11 +307,13 @@ def _enum_window(q, lo, hi, max_entry, budget, counter):
         if i == 0:
             # last coordinate: w e^2 >= lo - partial adds |e| >= r_in
             need = -((partial - lo) // w[0])
+            parts = (ys,)
             if need > 0:
                 r_in = math.isqrt(need - 1) + 1
-                ys = [*range(ys.start, (-r_in - c) // b + 1), *range(-((c - r_in) // b), ys.stop)]
-            out.extend((y,) + suffix for y in ys)
-            charge(len(ys))
+                parts = (range(ys.start, (-r_in - c) // b + 1), range(-((c - r_in) // b), ys.stop))
+            charge(sum(map(len, parts)))
+            for part in parts:
+                out.extend((y,) + suffix for y in part)
             return
         for y in ys:
             charge(1)
@@ -396,14 +401,16 @@ class FirstColumnBound:
         return lhs <= rhs
 
 
-def first_column_bound(q, m, eps, constant=Fraction(100)):
-    """Actual count of y with y^T Q y = m^2 next to the envelope C m^(n-2+eps)."""
+def first_column_bound(q, m, eps):
+    """Actual count of y with y^T Q y = m^2 next to the envelope C m^(n-2+eps),
+    C = 100."""
     if m < 1:
         raise DomainError("m must be >= 1")
     eps = Fraction(eps)
+    constant = Fraction(100)
     count = len(enum_norm_vectors(q, Fraction(m * m), 0))
     envelope = float(constant) * float(m) ** (q.n - 2 + float(eps))
-    return FirstColumnBound(count=count, envelope=envelope, constant=Fraction(constant), m=m, eps=eps)
+    return FirstColumnBound(count=count, envelope=envelope, constant=constant, m=m, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +570,17 @@ def enum_S(
     prune=True,
     collect=True,
     workers=1,
-    max_entry=DEFAULT_MAX_ENTRY,
     force_search=False,
 ):
     """Enumerate the full solution set; see count_S for the count-only door.
 
-    With prune=False the candidate product is walked with leaf-only checks
-    (used by the pruning-soundness property test); the output set is
-    identical, only statistics differ.
+    budget caps the nodes of each column's walk and of the matrix search
+    (ResourceBudgetError past it), whatever the worker count; each walk's
+    search box is capped at MAX_ENTRY.  With prune=False the candidate
+    product is walked with leaf-only checks (used by the pruning-soundness
+    property test); the output set is identical, only statistics differ.
+    force_search runs the search even where an irrational target already
+    certifies the set empty.
     """
     stats = _new_stats()
     t = instance.target
@@ -602,7 +612,7 @@ def enum_S(
             counter = [0]
             lo, hi = window
             vectors = _enum_window(
-                instance.q, Fraction(lo, den), Fraction(hi, den), max_entry, budget, counter
+                instance.q, Fraction(lo, den), Fraction(hi, den), budget, counter
             )
             walks[window] = vectors, counter[0]
         vectors, nodes = walks[window]
@@ -707,12 +717,12 @@ class _SearchContext:
         self.cands = cands
         self.minor_pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
         self.minor_r, self.minor_s = (list(ix) for ix in zip(*self.minor_pairs))
-        # every dot x^T Qt y and minor the search forms is at most
-        # n^2 max|Qt| max|x|^2 in absolute value
+        # every dot x^T Qt y the search forms is at most n^2 max|Qt| max|x|^2
+        # in absolute value, as is every minor (at most 2 max|x|^2)
         bx = max((abs(v) for c in cands for y in c for v in y), default=0)
         qmax = max(abs(v) for row in self.qt for v in row)
         self.np_qt = None
-        if n * n * qmax * bx * bx < 2 ** 62:
+        if fits_int64(n, bx, qmax, 0):
             self.np_qt = np.array(self.qt, dtype=np.int64)
 
     def run(self, order):

@@ -54,29 +54,26 @@ def iv_pow_fraction(x, e):
     return iv.exp(iv.log(iv_fraction(x)) * iv.mpf(e.numerator) / iv.mpf(e.denominator))
 
 
-def certified_sign(make_interval, is_zero=None, start=START_PREC, cap=PREC_CAP):
-    """Sign of a real given an interval builder and an optional exact zero test.
+def certified_sign(make_interval, is_zero):
+    """Sign of a real given an interval builder and an exact zero test.
 
+    Returns 0 when is_zero() is true, without touching intervals.  Else
     make_interval(prec) must return an interval containing the value at
-    working precision prec.  If is_zero() is provided and true, returns 0
-    without touching intervals.
+    working precision prec, tried from START_PREC bits, doubling up to
+    PREC_CAP, until it excludes 0.
     """
-    if is_zero is not None and is_zero():
+    if is_zero():
         return 0
-    prec = start
-    while prec <= cap:
+    prec = START_PREC
+    while prec <= PREC_CAP:
         with precision(prec):
             x = make_interval(prec)
         if x.a > 0:
             return 1
         if x.b < 0:
             return -1
-        if is_zero is None and x.a == 0 and x.b == 0:
-            return 0
         prec *= 2
-    raise PrecisionExhausted(
-        "sign undecided at %d bits; value may be zero without a symbolic test" % cap
-    )
+    raise PrecisionExhausted("sign undecided at %d bits" % PREC_CAP)
 
 
 def _acos_bracket(v):

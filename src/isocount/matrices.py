@@ -20,19 +20,19 @@ import numpy as np
 from .arith import kronecker
 from .errors import DomainError
 
-DEFAULT_MAX_DIM = 8
+MAX_DIM = 8
 
 
 class IntegerMatrix:
-    """Immutable square integer matrix of dimension n (2 <= n <= 8 by default)."""
+    """Immutable square integer matrix of dimension n, 1 <= n <= MAX_DIM."""
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, rows, max_dim=DEFAULT_MAX_DIM):
+    def __init__(self, rows):
         rows = tuple(tuple(int(x) for x in r) for r in rows)
         n = len(rows)
-        if n < 1 or n > max_dim:
-            raise DomainError("dimension %d outside supported range 1..%d" % (n, max_dim))
+        if n < 1 or n > MAX_DIM:
+            raise DomainError("dimension %d outside supported range 1..%d" % (n, MAX_DIM))
         if any(len(r) != n for r in rows):
             raise DomainError("matrix is not square")
         object.__setattr__(self, "n", n)
@@ -42,7 +42,7 @@ class IntegerMatrix:
         raise AttributeError("IntegerMatrix is immutable")
 
     def __reduce__(self):
-        return (IntegerMatrix, (self.rows, self.n))
+        return (IntegerMatrix, (self.rows,))
 
     @classmethod
     def identity(cls, n):
@@ -345,7 +345,8 @@ def determinantal_divisor_oracle(rows, j):
 
 
 class RationalSymMatrix:
-    """Symmetric positive definite matrix with exact rational entries.
+    """Symmetric positive definite matrix with exact rational entries,
+    dimension 1 <= n <= MAX_DIM.
 
     Caches den(Q), the integralization den(Q)*Q, and the principal 2x2
     minor set of the integralization.
@@ -353,11 +354,11 @@ class RationalSymMatrix:
 
     __slots__ = ("n", "entries", "_den", "_tilde", "_minors")
 
-    def __init__(self, entries, max_dim=DEFAULT_MAX_DIM):
+    def __init__(self, entries):
         rows = tuple(tuple(Fraction(x) for x in r) for r in entries)
         n = len(rows)
-        if n < 1 or n > max_dim:
-            raise DomainError("dimension %d outside supported range 1..%d" % (n, max_dim))
+        if n < 1 or n > MAX_DIM:
+            raise DomainError("dimension %d outside supported range 1..%d" % (n, MAX_DIM))
         if any(len(r) != n for r in rows):
             raise DomainError("matrix is not square")
         for i in range(n):
@@ -375,7 +376,7 @@ class RationalSymMatrix:
         raise AttributeError("RationalSymMatrix is immutable")
 
     def __reduce__(self):
-        return (RationalSymMatrix, (self.entries, self.n))
+        return (RationalSymMatrix, (self.entries,))
 
     @classmethod
     def identity(cls, n):
@@ -408,9 +409,7 @@ class RationalSymMatrix:
             object.__setattr__(
                 self,
                 "_tilde",
-                IntegerMatrix(
-                    [[int(x * d) for x in r] for r in self.entries], max_dim=self.n
-                ),
+                IntegerMatrix([[int(x * d) for x in r] for r in self.entries]),
             )
         return self._tilde
 
@@ -460,51 +459,53 @@ def minor_set(q):
 
 def is_q_good(p, q):
     """True iff p avoids the diagonal of the integralization and -d is a
-    nonresidue mod p for every d in the minor set.
-
-    For p = 2 the symbol is the Kronecker symbol (-d | 2).
-    """
+    nonresidue mod p for every d in the minor set."""
     t = q.tilde
-    for i in range(q.n):
-        if t[i, i] % p == 0:
-            return False
-    for d in q.minor_set():
-        if kronecker(-d, p) != -1:
-            return False
-    return True
+    return is_good(p, [t[i, i] for i in range(q.n)], q.minor_set())
+
+
+def is_good(p, diagonal, minors):
+    """The goodness test on its data: p divides no diagonal entry and
+    (-d | p) = -1 for every minor d, the Kronecker symbol for p = 2."""
+    return all(d % p for d in diagonal) and all(kronecker(-d, p) == -1 for d in minors)
 
 
 class Region:
     """A nested pair of entrywise boxes inside the positive definite cone.
 
     The outer box describes the working region, the inner box (shrunk by
-    `margin` of each side's width) the region from which reference matrices
-    are drawn; the inner closure must sit strictly inside the outer box.
+    MARGIN = 1/16 of each side's width) the region from which reference
+    matrices are drawn; every side must have positive width, so the inner
+    closure sits strictly inside the outer box.  reference_box(q) is the
+    region the exchange and the chains use unless given another.
     """
 
-    __slots__ = ("n", "lower", "upper", "margin")
+    __slots__ = ("n", "lower", "upper")
+    MARGIN = Fraction(1, 16)
 
-    def __init__(self, lower, upper, margin=Fraction(1, 16)):
+    def __init__(self, lower, upper):
         self.n = len(lower)
         self.lower = tuple(tuple(Fraction(x) for x in r) for r in lower)
         self.upper = tuple(tuple(Fraction(x) for x in r) for r in upper)
-        self.margin = Fraction(margin)
-        if not 0 < self.margin < Fraction(1, 2):
-            raise DomainError("margin must lie strictly between 0 and 1/2")
         for i in range(self.n):
             for j in range(self.n):
                 if self.lower[i][j] >= self.upper[i][j]:
                     raise DomainError("box side [%d][%d] has no positive width" % (i, j))
 
     @classmethod
-    def box_around(cls, q, radius, margin=Fraction(1, 16)):
+    def box_around(cls, q, radius):
         r = Fraction(radius)
         lower = [[x - r for x in row] for row in q.entries]
         upper = [[x + r for x in row] for row in q.entries]
-        return cls(lower, upper, margin=margin)
+        return cls(lower, upper)
+
+    @classmethod
+    def reference_box(cls, q):
+        """The box of radius 1/4 around q, whose inner box holds q."""
+        return cls.box_around(q, Fraction(1, 4))
 
     def inner_bounds(self, i, j):
-        w = (self.upper[i][j] - self.lower[i][j]) * self.margin
+        w = (self.upper[i][j] - self.lower[i][j]) * self.MARGIN
         return self.lower[i][j] + w, self.upper[i][j] - w
 
     def _in_box(self, entries, inner):
@@ -525,6 +526,6 @@ class Region:
     def contains_inner(self, q):
         return self._in_box(q.entries, inner=True)
 
-    def box_contains_entries(self, entries, inner=False):
-        """Box test only (no PD test); entries indexable [i][j]."""
-        return self._in_box(entries, inner=inner)
+    def box_contains_entries(self, entries):
+        """Outer box test only (no PD test); entries indexable [i][j]."""
+        return self._in_box(entries, inner=False)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .arith import factorize, iroot, kronecker, primes_in_range, radical, squarefree_part
 from .errors import DomainError
-from .matrices import is_q_good
+from .matrices import is_good, is_q_good
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class ResidueSystem:
         if self.modulus % p == 0:
             # small primes interacting with the modulus: fall back to the
             # direct definition via the stored data
-            return _direct_good(p, self.minor_set, self.diagonal)
+            return is_good(p, self.diagonal, self.minor_set)
         return p % self.modulus in self.allowed
 
     def to_json(self):
@@ -44,16 +44,6 @@ class ResidueSystem:
             "minor_set": sorted(self.minor_set),
             "diagonal": list(self.diagonal),
         }
-
-
-def _direct_good(p, minors, diagonal):
-    for d in diagonal:
-        if d % p == 0:
-            return False
-    for d in minors:
-        if kronecker(-d, p) != -1:
-            return False
-    return True
 
 
 def residue_system(q):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import ConstantsConfig, condition_d_holds, condition_n_holds
-from .enumeration import CountingInstance, enum_S, verify_batch, verify_membership
+from .enumeration import DEFAULT_BUDGET, CountingInstance, enum_S, verify_batch, verify_membership
 from .errors import DomainError, ResourceBudgetError
 from .matrices import Region
 from .primes import good_prime_set, residue_system
@@ -26,6 +26,7 @@ from .xchg import (
     default_pairs,
     find_q_prime,
     intersect_kernels,
+    nu_range,
     pair_scalar_m,
     replacement_field,
 )
@@ -110,16 +111,18 @@ def _level_subspace(cache, pairs, n):
     return intersect_kernels(contributions, n)
 
 
-def _stabilize(name, q, region, cache, pair_budget, level_pairs, rational_only=False):
+def _stabilize(name, q, cache, pair_budget, level_pairs, rational_only=False):
     """Levels j = 0, 1, ... until the kernel intersection stops shrinking.
 
     level_pairs(j, levels) gives the window and the pair set of level j
-    from the levels built so far.  The dimension sequence must be weakly
+    from the levels built so far; each level's replacement matrix lies in
+    Region.reference_box(q).  The dimension sequence must be weakly
     decreasing, the containment at the stabilization step is verified
     exactly, and the level count is bounded by the symmetric dimension plus
     one.
     """
     n = q.n
+    region = Region.reference_box(q)
     levels = []
     for j in range(n * (n + 1) // 2 + 1):
         window, pairs = level_pairs(j, levels)
@@ -159,9 +162,8 @@ def outer_chain(
     d1,
     d2,
     big_m=None,
-    region=None,
     nu_values=None,
-    budget=10 ** 8,
+    budget=DEFAULT_BUDGET,
     workers=1,
     cache=None,
     pair_budget=DEFAULT_PAIR_BUDGET,
@@ -170,8 +172,6 @@ def outer_chain(
     [L, 2 L^(D1^j D2^(j+1))]; stops at the first level whose subspace
     equals the previous one."""
     n = q.n
-    if region is None:
-        region = Region.box_around(q, Fraction(1, 4))
     cache = cache or _EnumCache(q, big_m, budget, workers)
     d1, d2 = Fraction(d1), Fraction(d2)
 
@@ -179,16 +179,15 @@ def outer_chain(
         window = interval_of(l_param, d1 ** j * d2 ** (j + 1))
         return window, default_pairs(*window, n, nu_values, pair_budget)
 
-    return _stabilize("outer", q, region, cache, pair_budget, level_pairs)
+    return _stabilize("outer", q, cache, pair_budget, level_pairs)
 
 
 def inner_chain(
     q,
     l_cal,
     d1,
-    region=None,
     nu_values=None,
-    budget=10 ** 8,
+    budget=DEFAULT_BUDGET,
     workers=1,
     big_m=None,
     cache=None,
@@ -202,11 +201,9 @@ def inner_chain(
     replacement matrix.  All replacement matrices here are rational.
     """
     n = q.n
-    if region is None:
-        region = Region.box_around(q, Fraction(1, 4))
     cache = cache or _EnumCache(q, big_m, budget, workers)
     d1 = Fraction(d1)
-    nus = list(nu_values) if nu_values else list(range(1, n + 1))
+    nus = nu_range(nu_values, n)
     filter_history = []
 
     def level_pairs(j, levels):
@@ -243,8 +240,7 @@ def inner_chain(
         pool = set(levels[-1].pairs) if levels else set()
         return window, sorted(pool | set(fresh))
 
-    chain = _stabilize("inner", q, region, cache, pair_budget, level_pairs,
-                       rational_only=True)
+    chain = _stabilize("inner", q, cache, pair_budget, level_pairs, rational_only=True)
     return chain, filter_history
 
 
@@ -366,34 +362,34 @@ def _envelope_case3(count, p, nu, n, eps, den, constant):
     return lhs <= rhs
 
 
+# node budget of each replacement instance the driver's pair verdicts enumerate
+STAR_BUDGET = 10 ** 7
+
+
 def proposition_driver(
     q,
     l_param,
     d1,
     d2,
     big_m=None,
-    region=None,
     nu_values=None,
-    budget=10 ** 8,
+    budget=DEFAULT_BUDGET,
     workers=1,
     config=None,
-    level=1,
     pair_cap=64,
-    verify_budget=10 ** 7,
-    pair_budget=DEFAULT_PAIR_BUDGET,
 ):
     """Run both chains and verify the per-pair bounds in the final window.
 
-    Desk-scale parameters may violate the largeness conditions; violations
-    are flagged in the certificate, while all containments and all
-    parameter-independent case bounds are still verified exactly.
+    Both chains work in Region.reference_box(q) with the default pair
+    budget; the final window's primes are the good primes of Q*, and the
+    first pair_cap pairs of them are verified, the replacement instances
+    under a node budget of STAR_BUDGET.  Desk-scale parameters may violate
+    the largeness conditions; violations are flagged in the certificate,
+    while all containments and all parameter-independent case bounds are
+    still verified exactly.
     """
     n = q.n
     config = config or ConstantsConfig()
-    if region is None:
-        region = Region.box_around(q, Fraction(1, 4))
-    if not region.contains_inner(q):
-        raise DomainError("reference matrix must lie in the inner region")
     dd = Fraction(d1) * Fraction(d2)
     if dd.denominator != 1:
         # L^((D1 D2)^(i+1)) is then no rational number for any level i
@@ -401,16 +397,14 @@ def proposition_driver(
     cache = _EnumCache(q, big_m, budget, workers)
 
     outer = outer_chain(
-        q, l_param, d1, d2, big_m=big_m, region=region,
+        q, l_param, d1, d2, big_m=big_m,
         nu_values=nu_values, budget=budget, workers=workers, cache=cache,
-        pair_budget=pair_budget,
     )
     i = outer.stabilization
     l_cal = Fraction(l_param) ** (dd.numerator ** (i + 1))
     inner, filter_history = inner_chain(
-        q, l_cal, d1, region=region, nu_values=nu_values,
+        q, l_cal, d1, nu_values=nu_values,
         budget=budget, workers=workers, big_m=big_m, cache=cache,
-        pair_budget=pair_budget,
     )
     k = inner.stabilization
     q_star = inner.levels[k].q_matrix.as_rational_matrix()
@@ -418,10 +412,10 @@ def proposition_driver(
     diag = tuple(q_star.tilde[t, t] for t in range(n))
     system = residue_system(q_star)
     wlo, whi = _tilde_window(l_cal, Fraction(d1), k + 1)
-    prime_set = tuple(good_prime_set(system, wlo, whi, coprime_to=level))
+    prime_set = tuple(good_prime_set(system, wlo, whi))
 
-    nus = list(nu_values) if nu_values else list(range(1, n + 1))
-    star_cache = _EnumCache(q_star, None, verify_budget, workers)
+    nus = nu_range(nu_values, n)
+    star_cache = _EnumCache(q_star, None, STAR_BUDGET, workers)
     verdicts = []
     pairs_examined = 0
     for p in prime_set:

@@ -82,11 +82,11 @@ def str_to_int(text):
     return value(text, len(powers) - 1)
 
 
-def _quote(text, limit=60):
-    """repr of text, cut to its first `limit` characters when longer."""
-    if len(text) <= limit:
+def _quote(text):
+    """repr of text, cut to its first 60 characters when longer."""
+    if len(text) <= 60:
         return repr(text)
-    return "%r... (%d characters)" % (text[:limit], len(text))
+    return "%r... (%d characters)" % (text[:60], len(text))
 
 
 # "p" or "p/q" with decimal digits, underscores between them as in int()

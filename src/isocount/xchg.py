@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .enumeration import (
+    DEFAULT_BUDGET,
     CountingInstance,
     SymbolicSymMatrix,
     enum_S,
@@ -59,6 +60,8 @@ from .arith import interval_of, iroot, primes_in_range
 
 
 RATIONALS = RadicalFieldSpec(1, ())
+# find_q_prime rounds through the denominators 2^0, 2^1, ..., 2^DEN_BOUND_LOG2
+DEN_BOUND_LOG2 = 40
 
 
 def sym_index_pairs(n):
@@ -299,7 +302,7 @@ def select_generators(rows_with_labels, n):
     return sel.rows, sel.labels
 
 
-def intersect_kernels(contributions, n, spec=None):
+def intersect_kernels(contributions, n):
     """Kernel intersection of the operators attached to (gamma, m) pairs.
 
     contributions: iterable of (gamma, m, label); empty input returns the
@@ -308,19 +311,16 @@ def intersect_kernels(contributions, n, spec=None):
     one block of consecutive contributions with one m at a time so that the
     kernel-side test is batched on numpy wherever it provably fits in
     int64; the kernel basis is integral and each basis vector is
-    re-verified against every selected generator.  Rows stay ints wherever
-    the scale m^(1/n) is rational, so the elimination runs on plain
-    rationals until an irrational scale enters.
+    re-verified against every selected generator.  The field adjoins to Q
+    every irrational scale m^(1/n); rows stay ints wherever the scale is
+    rational, so the elimination runs on plain rationals until an
+    irrational scale enters.
     """
     contributions = list(contributions)
     if not contributions:
         return full_sym_subspace(n)
-    if spec is None:
-        rad = []
-        for gamma, m, label in contributions:
-            if not scalar_root_is_rational(m, n):
-                rad.append(m)
-        spec = RadicalFieldSpec(n, rad)
+    spec = RadicalFieldSpec(n, [m for _, m, _ in contributions
+                                if not scalar_root_is_rational(m, n)])
 
     sel = _GreedySelection(n, spec)
     for m, block in itertools.groupby(contributions, key=lambda c: c[1]):
@@ -389,13 +389,14 @@ class ReplacementMatrix:
         return SymbolicSymMatrix(coerce_vectors(spec, self.entries), spec)
 
 
-def find_q_prime(subspace, region, reference_q, den_bound_log2=40):
+def find_q_prime(subspace, region, reference_q):
     """A matrix in (subspace cap region) with entries in the subspace field.
 
     Rational subspace: project the reference exactly, then round the basis
-    coefficients through the denominator schedule 2^0, 2^1, ..., keeping the
-    first rounding that stays in the subspace (by construction) and passes
-    the exact region test (box + positive definiteness).  Irrational
+    coefficients through the denominator schedule 2^0, 2^1, ...,
+    2^DEN_BOUND_LOG2, keeping the first rounding that stays in the subspace
+    (by construction) and passes the exact region test (box + positive
+    definiteness).  Irrational
     subspace: return the exact projection, verified certified-positively.
     """
     n = subspace.n
@@ -405,7 +406,7 @@ def find_q_prime(subspace, region, reference_q, den_bound_log2=40):
     if spec.is_rational:
         bas = [[x.rational_value() for x in v] for v in basis]
         coeffs = _project_coefficients(bas, [Fraction(x) for x in ref_vec])
-        for k in range(den_bound_log2 + 1):
+        for k in range(DEN_BOUND_LOG2 + 1):
             bound = 2 ** k
             rounded = [c.limit_denominator(bound) for c in coeffs]
             vec = [
@@ -427,7 +428,7 @@ def find_q_prime(subspace, region, reference_q, den_bound_log2=40):
             )
         raise NoPointFound(
             "no rational point of the subspace inside the region at denominators up to 2^%d"
-            % den_bound_log2
+            % DEN_BOUND_LOG2
         )
     # irrational field: exact projection
     ortho = gram_schmidt(basis, spec=spec)
@@ -513,12 +514,17 @@ class ExchangeReport:
 DEFAULT_PAIR_BUDGET = 20000
 
 
+def nu_range(nu_values, n):
+    """The nu values asked for, or 1..n when none are."""
+    return list(nu_values) if nu_values else list(range(1, n + 1))
+
+
 def default_pairs(low, high, n, nu_values=None, pair_budget=DEFAULT_PAIR_BUDGET):
     """All ordered prime pairs from [low, high] with the given nu range;
     ResourceBudgetError before the list is built if it would hold more
     than pair_budget pairs."""
     primes = primes_in_range(low, high)
-    nus = list(nu_values) if nu_values else list(range(1, n + 1))
+    nus = nu_range(nu_values, n)
     size = len(primes) ** 2 * len(nus)
     if size > pair_budget:
         raise ResourceBudgetError("%d pairs exceed the budget of %d" % (size, pair_budget))
@@ -533,9 +539,8 @@ def exchange_step(
     pairs=None,
     region=None,
     nu_values=None,
-    budget=10 ** 8,
+    budget=DEFAULT_BUDGET,
     workers=1,
-    den_bound_log2=40,
 ):
     """Run the exchange end to end for one interval of primes.
 
@@ -544,10 +549,12 @@ def exchange_step(
     verifies the containment by direct membership of every enumerated
     matrix in the exact-equation set of the replacement.  A containment
     violation is an internal-consistency failure, never a soft result.
+    The region defaults to Region.reference_box(q) and must hold q in its
+    inner box (PreconditionFailed otherwise).
     """
     n = q.n
     if region is None:
-        region = Region.box_around(q, Fraction(1, 4))
+        region = Region.reference_box(q)
     if not region.contains_inner(q):
         raise PreconditionFailed("reference matrix lies outside the inner region")
     if pairs is None:
@@ -569,7 +576,7 @@ def exchange_step(
     sub = intersect_kernels(contributions, n)
     selected_pairs = tuple(sorted({lab[0] for lab in sub.provenance}))
     kspec = replacement_field(sub)
-    qp = find_q_prime(sub, region, q, den_bound_log2=den_bound_log2)
+    qp = find_q_prime(sub, region, q)
 
     if qp.rational:
         q_prime_mat = qp.as_rational_matrix()

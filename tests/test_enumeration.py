@@ -110,7 +110,7 @@ def test_norm_vectors_sum_of_two_squares_hypothesis(t):
 
 def test_norm_vectors_resource_error():
     with pytest.raises(ResourceBudgetError):
-        enum_norm_vectors(I2, 10 ** 16, 0, max_entry=10 ** 6)
+        enum_norm_vectors(I2, 10 ** 16, 0)
 
 
 def test_first_column_bound():

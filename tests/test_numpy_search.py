@@ -10,6 +10,7 @@ search.
 """
 
 import math
+import tracemalloc
 from contextlib import nullcontext
 from fractions import Fraction
 from unittest import mock
@@ -21,7 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from isocount import enumeration
 from isocount.enumeration import CountingInstance, _SearchContext, enum_S
 from isocount.errors import DomainError, ResourceBudgetError
-from isocount.matrices import RationalSymMatrix
+from isocount.matrices import INT64_MAX, RationalSymMatrix
 
 HALF = Fraction(1, 2)
 I2 = RationalSymMatrix.identity(2)
@@ -30,7 +31,7 @@ I4 = RationalSymMatrix.identity(4)
 Q21 = RationalSymMatrix([[2, 1], [1, 3]])
 SKEW3 = RationalSymMatrix([[1, HALF, 0], [HALF, 1, 0], [0, 0, 1]])
 D112 = RationalSymMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-MAX_ENTRY, BUDGET = 10 ** 7, 10 ** 8
+BUDGET = 10 ** 8
 
 
 def walk(q, lo, hi, batched, budget=BUDGET):
@@ -46,7 +47,7 @@ def walk(q, lo, hi, batched, budget=BUDGET):
     guard = nullcontext() if batched else mock.patch.object(
         enumeration, "_walk_fits_int64", lambda *args: False)
     with guard, mock.patch.object(enumeration, "_last_two_levels", counted):
-        vectors = enumeration._enum_window(q, lo, hi, MAX_ENTRY, budget, counter)
+        vectors = enumeration._enum_window(q, lo, hi, budget, counter)
     return vectors, counter[0], len(passes)
 
 
@@ -161,6 +162,27 @@ def test_walk_budget_is_charged_before_the_ranges_expand(monkeypatch):
         walk(Q21, lo, hi, batched=True, budget=nodes - 1)
 
 
+def test_python_level_zero_is_charged_before_it_is_built(monkeypatch):
+    # diag(1, 2^40) scales the window [0, 10^10] past 2^62, so the Python
+    # walk runs level 0: one range of 2 10^5 + 1 values under y_1 = 0,
+    # which budget 10 must refuse before a vector of it is built (building
+    # it first peaked at about 18 MB)
+    q = RationalSymMatrix([[1, 0], [0, 2 ** 40]])
+
+    def no_numpy(*args):
+        raise AssertionError("the numpy pass ran")
+
+    monkeypatch.setattr(enumeration, "_last_two_levels", no_numpy)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            enumeration._enum_window(q, Fraction(0), Fraction(10 ** 10), 10, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("batched", [True, False])
 @pytest.mark.parametrize("q, lo, hi", [(Q21, 40, 50), (I3, 25, 25), (SKEW3, 0, 12), (I4, -2, 4)])
 def test_walk_budget_verdict_flips_at_the_node_count(batched, q, lo, hi):
@@ -213,6 +235,21 @@ def test_numpy_last_pair_equals_the_tuple_search(q, a, b, big_m):
     assert [g.rows for g in fast.matrices] == [g.rows for g in slow.matrices]
 
 
+# n^2 max|Qt| bx^2 <= 2^63 - 1 for Q21 (n = 2, max|Qt| = 3) up to this bx
+SEARCH_EDGE = math.isqrt(INT64_MAX // 12)
+
+
+@pytest.mark.parametrize("bx, inside", [(SEARCH_EDGE, True), (SEARCH_EDGE + 1, False)])
+def test_search_guard_at_its_bound(bx, inside):
+    # the DFS holds its lists as int64 arrays exactly when fits_int64 bounds
+    # every dot and minor it forms from the largest candidate entry
+    inst = CountingInstance(Q21, 1, 1)
+    cands = [[(0, 1)], [(-bx, 1), (1, 0)]]
+    ctx = _SearchContext(inst, enumeration._entry_bounds(inst), cands,
+                         enumeration._new_stats(), BUDGET, True)
+    assert (ctx.np_qt is not None) == inside
+
+
 def test_the_pair_pass_slices_its_rows(monkeypatch):
     # slices of one pair meet every row of the first column by itself
     inst = CountingInstance(I3, 5, 5)
@@ -234,9 +271,9 @@ def test_search_budget_verdict_flips_at_the_node_count(workers, q, a, b, big_m):
 
     def counted(*args):
         counter = [0]
-        vectors = walk(*args[:5], counter)
+        vectors = walk(*args[:4], counter)
         walks.append(counter[0])
-        args[5][0] += counter[0]
+        args[4][0] += counter[0]
         return vectors
 
     with mock.patch.object(enumeration, "_enum_window", counted):
