@@ -10,31 +10,30 @@ whenever one int64 bound per walk holds (a float root with one integer
 correction each way stands in for isqrt there), else in Python.  The
 matrix enumerator extends column by column, ordering columns by candidate
 count, and prunes partial assignments with the pairwise bilinear
-condition, the mod-b minor congruence, and the search box; on the int64
-path its last two columns are one numpy pass over every pair of their
-candidates.  Both passes visit, count and budget the nodes of the loops
-they replace, so stats and budget verdicts do not depend on which path
-ran.  Every emitted matrix is
-re-verified post hoc through an independent code path (gcd-of-minors
-determinantal divisors and one congruence gamma^T den(Q)Q gamma), one
-matrix at a time by verify_membership.  verify_batch runs its congruence
-test on numpy for a whole solution list (the exchange's second pass and
-the chain's pair verdicts, whose matrices already passed Delta_1 and
-Delta_2 against the same b), in slices of at most matrices.BATCH,
-whenever t and the threshold are rational and matrices.fits_int64 bounds
-every entry and congruence value; otherwise it returns None and the
-caller loops the scalar reference verify_membership.
+condition, the mod-b minor congruence, and the search box; its last two
+columns are one numpy pass over every pair of their candidates.  Both
+passes visit, count and budget the nodes of the loops they replace, so
+stats and budget verdicts do not depend on which path ran.  Every
+emitted matrix is re-verified post hoc through an independent code path
+(gcd-of-minors determinantal divisors and one congruence gamma^T den(Q)Q
+gamma), one matrix at a time by verify_membership.  verify_batch runs
+its congruence test on numpy for a whole solution list (the exchange's
+second pass and the chain's pair verdicts, whose matrices already passed
+Delta_1 and Delta_2 against the same b), in slices of at most
+matrices.BATCH, whenever t and the threshold are rational and
+matrices.fits_int64 bounds every entry and congruence value; otherwise
+it returns None and the caller loops the scalar reference
+verify_membership.
 
 The search decides membership in integers only: once per instance,
 _entry_bounds turns each entry condition on gamma^T Q gamma into an integer
 window [lo_ij, hi_ij] for x^T den(Q)Q y (exact in every regime, certified
-floors for the radical thresholds).  Candidate filtering runs on numpy in
-every regime whenever matrices.fits_int64, computed once from the
-candidate lists, bounds every dot and minor the search forms (the lists
-are then int64 arrays for the whole search), and falls back to Python
-integers otherwise.  Columns with the same diagonal
-window share one walk within a call, and the leaf computes only the Smith
-diagonal.
+floors for the radical thresholds).  Candidate filtering runs on numpy
+arrays in every regime: int64 arrays whenever matrices.fits_int64,
+computed once from the candidate lists, bounds every dot and minor the
+search forms, object arrays of Python integers otherwise, the same code
+on both.  Columns with the same diagonal window share one walk within a
+call, and the leaf computes only the Smith diagonal.
 
 The verifier's per-instance work is memoized on the instance: its target
 t and, in the error regime, the threshold thr as a Fraction when it is
@@ -97,17 +96,6 @@ class TargetScalar:
         if fr <= 0:
             return False
         return fr ** self.n == self.s * self.s
-
-    def cmp_fraction(self, fr):
-        """sign(fr - t), exact."""
-        fr = Fraction(fr)
-        if self.rational is not None:
-            d = fr - self.rational
-            return (d > 0) - (d < 0)
-        if fr <= 0:
-            return -1
-        d = fr ** self.n - self.s * self.s
-        return (d > 0) - (d < 0)
 
     def as_field_element(self, spec):
         if self.rational is not None:
@@ -576,9 +564,12 @@ def enum_S(
 
     budget caps the nodes of each column's walk and of the matrix search
     (ResourceBudgetError past it), whatever the worker count; each walk's
-    search box is capped at MAX_ENTRY.  With prune=False the candidate
-    product is walked with leaf-only checks (used by the pruning-soundness
-    property test); the output set is identical, only statistics differ.
+    search box is capped at MAX_ENTRY.  The search runs on int64 arrays
+    under the int64 guard and on object arrays past it, with the same
+    solutions and stats.  With prune=False the same arrays are walked as
+    the whole candidate product with leaf-only checks (used by the
+    pruning-soundness checks); the output set is identical, only
+    statistics differ.
     force_search runs the search even where an irrational target already
     certifies the set empty.
     """
@@ -700,11 +691,12 @@ class _SearchContext:
     """Depth-first search over the candidate columns.  A pair of columns
     (x at i, y at j) is kept iff lo_ij <= x^T Qt y <= hi_ij and every 2x2
     minor of (x, y) vanishes mod b; the leaf adds the determinantal
-    divisors.  While the int64 bound holds, each candidate list is one
-    int64 array of rows for the whole search, the filter keeps rows of it,
-    and the last two columns are one pass over all their pairs
-    (_last_pair); otherwise (and with prune=False) the lists hold int
-    tuples and every depth loops."""
+    divisors.  Each candidate list is one array of rows for the whole
+    search, int64 while fits_int64 bounds every dot and minor the search
+    forms and Python ints in an object array past it; the filter keeps rows
+    of it, and the last two columns are one pass over all their pairs
+    (_last_pair).  With prune=False the same arrays are walked unfiltered
+    and the leaf tests every pair (_pairs_ok)."""
 
     def __init__(self, instance, bounds, cands, stats, budget, prune):
         self.inst = instance
@@ -713,24 +705,21 @@ class _SearchContext:
         self.budget = budget
         self.prune = prune
         n = instance.n
-        self.qt = instance.q.tilde.rows
+        qt = instance.q.tilde.rows
         self.cands = cands
         self.minor_pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
         self.minor_r, self.minor_s = (list(ix) for ix in zip(*self.minor_pairs))
         # every dot x^T Qt y the search forms is at most n^2 max|Qt| max|x|^2
         # in absolute value, as is every minor (at most 2 max|x|^2)
         bx = max((abs(v) for c in cands for y in c for v in y), default=0)
-        qmax = max(abs(v) for row in self.qt for v in row)
-        self.np_qt = None
-        if fits_int64(n, bx, qmax, 0):
-            self.np_qt = np.array(self.qt, dtype=np.int64)
+        qmax = max(abs(v) for row in qt for v in row)
+        self.dtype = np.int64 if fits_int64(n, bx, qmax, 0) else object
+        self.np_qt = np.array(qt, dtype=self.dtype)
 
     def run(self, order):
         """The accepted matrices, with column order[d] taken from cands[d]."""
-        cands = self.cands
-        if self.np_qt is not None and self.prune:
-            n = self.inst.n
-            cands = [np.array(c, dtype=np.int64).reshape(len(c), n) for c in cands]
+        n = self.inst.n
+        cands = [np.array(c, dtype=self.dtype).reshape(len(c), n) for c in self.cands]
         out = []
         self.dfs(order, 0, {}, cands, out)
         return out
@@ -740,14 +729,11 @@ class _SearchContext:
         if depth == n:
             self._leaf(placed, out)
             return
+        if depth == n - 2 and self.prune:
+            self._last_pair(order, placed, cands[depth], cands[n - 1], out)
+            return
         j = order[depth]
-        col = cands[depth]
-        if isinstance(col, np.ndarray):
-            if depth == n - 2:
-                self._last_pair(order, placed, col, cands[n - 1], out)
-                return
-            col = map(tuple, col.tolist())
-        for y in col:
+        for y in map(tuple, cands[depth].tolist()):
             self.stats["nodes"] += 1
             if self.stats["nodes"] > self.budget:
                 raise ResourceBudgetError("matrix enumeration budget exhausted")
@@ -767,25 +753,10 @@ class _SearchContext:
             else:
                 self.dfs(order, depth + 1, new_placed, new_cands, out)
 
-    def _pair_ok(self, i, x, j, y):
-        lo, hi = self.bounds[i][j]
-        if not lo <= _int_bilinear(self.qt, x, y) <= hi:
-            self.stats["prunes"]["pairwise"] += 1
-            return False
-        b = self.inst.b
-        if b > 1:
-            for r, s in self.minor_pairs:
-                if (x[r] * y[s] - x[s] * y[r]) % b:
-                    self.stats["prunes"]["minor"] += 1
-                    return False
-        return True
-
     def _filter(self, col, j, y, candidates):
-        """Keep candidates for `col` compatible with the newly placed y at j:
-        rows of an int64 array when np_qt is set, else a list of tuples."""
-        if self.np_qt is None:
-            return [c for c in candidates if self._pair_ok(j, y, col, c)]
-        y = np.array(y, dtype=np.int64)
+        """The rows of `candidates` (for column `col`) compatible with the
+        newly placed y at j."""
+        y = np.array(y, dtype=self.dtype)
         dots = candidates @ (self.np_qt @ y)
         lo, hi = self.bounds[col][j]
         kept = candidates[(dots >= lo) & (dots <= hi)]
@@ -794,7 +765,7 @@ class _SearchContext:
         if b > 1 and len(kept):
             # the minors x_r y_s - x_s y_r of every kept row x, one per column
             r, s = self.minor_r, self.minor_s
-            bad = ((kept[:, s] * y[r] - kept[:, r] * y[s]) % b).any(axis=1)
+            bad = ((kept[:, s] * y[r] - kept[:, r] * y[s]) % b != 0).any(axis=1)
             self.stats["prunes"]["minor"] += int(bad.sum())
             kept = kept[~bad]
         return kept
@@ -806,8 +777,8 @@ class _SearchContext:
         surviving y, a window prune per x with no survivor) and the leaves
         in the order the loops reach them.  A slice of xs makes at most
         max(BATCH, len(ys)) pairs, so a temporary holds at most n^2 entries
-        per pair, as one verify_batch slice does per matrix; np_qt bounds
-        every dot and minor."""
+        per pair, as one verify_batch slice does per matrix; the dtype
+        bounds every dot and minor."""
         n = self.inst.n
         k, j = order[n - 2], order[n - 1]
         lo, hi = self.bounds[j][k]
@@ -823,7 +794,7 @@ class _SearchContext:
             prunes["pairwise"] += dots.size - len(ix)
             if b > 1 and len(ix):
                 x, y = part[ix], ys[iy]
-                bad = ((x[:, r] * y[:, s] - x[:, s] * y[:, r]) % b).any(axis=1)
+                bad = ((x[:, r] * y[:, s] - x[:, s] * y[:, r]) % b != 0).any(axis=1)
                 prunes["minor"] += int(bad.sum())
                 ix, iy = ix[~bad], iy[~bad]
             prunes["window"] += int((np.bincount(ix, minlength=len(part)) == 0).sum())
@@ -835,14 +806,36 @@ class _SearchContext:
                 leaf[k], leaf[j] = tuple(x), tuple(y)
                 self._leaf(leaf, out)
 
+    def _pairs_ok(self, cols):
+        """The filter's test on every pair i < j of a leaf's columns, in
+        (i, j) order: one prune for the first failing pair, pairwise when
+        its dot is outside the window, else minor.  The dots are one pass;
+        the minors are one pass over the pairs before the first dot outside."""
+        c = np.array(cols, dtype=self.dtype)
+        dots = (c @ self.np_qt @ c.T).tolist()
+        inside = []
+        for i, j in self.minor_pairs:
+            lo, hi = self.bounds[i][j]
+            if not lo <= dots[i][j] <= hi:
+                break
+            inside.append((i, j))
+        if inside and self.inst.b > 1:
+            r, s = self.minor_r, self.minor_s
+            i, j = (list(ix) for ix in zip(*inside))
+            x, y = c[i], c[j]
+            if ((x[:, r] * y[:, s] - x[:, s] * y[:, r]) % self.inst.b != 0).any():
+                self.stats["prunes"]["minor"] += 1
+                return False
+        if len(inside) < len(self.minor_pairs):
+            self.stats["prunes"]["pairwise"] += 1
+            return False
+        return True
+
     def _leaf(self, placed, out):
         n = self.inst.n
         cols = [placed[j] for j in range(n)]
-        if not self.prune:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if not self._pair_ok(i, cols[i], j, cols[j]):
-                        return
+        if not self.prune and not self._pairs_ok(cols):
+            return
         gamma = IntegerMatrix.from_columns(cols)
         if gamma.entry_gcd() != 1:
             self.stats["prunes"]["delta"] += 1
@@ -852,14 +845,3 @@ class _SearchContext:
             self.stats["prunes"]["delta"] += 1
             return
         out.append(gamma)
-
-
-def _int_bilinear(qt_rows, x, y):
-    n = len(x)
-    acc = 0
-    for i in range(n):
-        xi = x[i]
-        if xi:
-            row = qt_rows[i]
-            acc += xi * sum(row[j] * y[j] for j in range(n))
-    return acc

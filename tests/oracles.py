@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 
+from isocount.errors import ResourceBudgetError
+from isocount.matrices import IntegerMatrix
+
 
 def box_norm_vectors(q, t_lo, t_hi, box):
     """All integer vectors with t_lo <= y^T Q y <= t_hi and |y_i| <= box."""
@@ -134,6 +137,88 @@ def enum_S_oracle_fast3(a, b):
                     continue
                 out.append(tuple(v for row in rows for v in row))
     return sorted(out)
+
+
+class TupleSearch:
+    """The matrix search of enumeration._SearchContext as plain loops on int
+    tuples: the same constructor and run(order), the same visiting order,
+    and every counter of stats and the budget charged as the array search
+    charges them.  enum_S runs it in place of the array search when the
+    module's _SearchContext is patched to it.  A pair (x at i, y at j) is
+    kept iff lo_ij <= x^T Qt y <= hi_ij (a pairwise prune otherwise) and
+    every 2x2 minor of (x, y) vanishes mod b (a minor prune otherwise);
+    the leaf decides Delta_1 and Delta_2 by gcd_minors.  With prune=False
+    no candidate is filtered and the leaf tests its pairs in (i, j) order,
+    counting the first that fails."""
+
+    def __init__(self, instance, bounds, cands, stats, budget, prune):
+        self.inst = instance
+        self.bounds = bounds
+        self.stats = stats
+        self.budget = budget
+        self.prune = prune
+        self.qt = instance.q.tilde.rows
+        self.cands = [[tuple(y) for y in c] for c in cands]
+
+    def run(self, order):
+        out = []
+        self.dfs(order, 0, {}, self.cands, out)
+        return out
+
+    def dfs(self, order, depth, placed, cands, out):
+        n = self.inst.n
+        if depth == n:
+            self._leaf(placed, out)
+            return
+        j = order[depth]
+        for y in cands[depth]:
+            self.stats["nodes"] += 1
+            if self.stats["nodes"] > self.budget:
+                raise ResourceBudgetError("matrix enumeration budget exhausted")
+            new_placed = dict(placed)
+            new_placed[j] = y
+            if not self.prune:
+                self.dfs(order, depth + 1, new_placed, cands, out)
+                continue
+            new_cands = list(cands)
+            for d2 in range(depth + 1, n):
+                new_cands[d2] = self._filter(order[d2], j, y, new_cands[d2])
+                if not new_cands[d2]:
+                    self.stats["prunes"]["window"] += 1
+                    break
+            else:
+                self.dfs(order, depth + 1, new_placed, new_cands, out)
+
+    def _pair_ok(self, i, x, j, y):
+        n = len(x)
+        lo, hi = self.bounds[i][j]
+        dot = sum(x[r] * self.qt[r][s] * y[s] for r in range(n) for s in range(n))
+        if not lo <= dot <= hi:
+            self.stats["prunes"]["pairwise"] += 1
+            return False
+        for r in range(n):
+            for s in range(r + 1, n):
+                if (x[r] * y[s] - x[s] * y[r]) % self.inst.b:
+                    self.stats["prunes"]["minor"] += 1
+                    return False
+        return True
+
+    def _filter(self, col, j, y, candidates):
+        return [c for c in candidates if self._pair_ok(j, y, col, c)]
+
+    def _leaf(self, placed, out):
+        n = self.inst.n
+        cols = [placed[j] for j in range(n)]
+        if not self.prune:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if not self._pair_ok(i, cols[i], j, cols[j]):
+                        return
+        rows = [[cols[j][i] for j in range(n)] for i in range(n)]
+        if gcd_minors(rows, 1) != 1 or gcd_minors(rows, 2) != self.inst.b:
+            self.stats["prunes"]["delta"] += 1
+            return
+        out.append(IntegerMatrix(rows))
 
 
 def solution_set_flat(solution_set):

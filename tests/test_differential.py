@@ -2,11 +2,11 @@
 
 Each case runs `isocount.cli.main` in process, in a fresh working directory
 with fixed relative paths (so the `matrices_path` echo of `count` is the
-same text every run), at `--threads` 1 and 2.  Every output file must be
-the same bytes at both thread counts and must match the sha256 digest
-committed in `differential_digests.json`.  A refactor that changes a
-solution, a statistic, a pair verdict or a single character of a report
-fails here.
+same text every run), at `--threads` 1 and 2, or twice with no option for
+the subcommands that take none.  Every output file must be the same bytes
+in both runs and must match the sha256 digest committed in
+`differential_digests.json`.  A refactor that changes a solution, a
+statistic, a pair verdict or a single character of a report fails here.
 """
 
 import hashlib
@@ -36,6 +36,9 @@ COUNT = ["count", "--instance", "inst.json", "--emit-matrices", "m.json", "--out
 CASES = {
     "count_i3_a9_b9_m4": ({"inst.json": _instance((1, 1, 1), 9, 9, "4")}, COUNT,
                           ("out.json", "m.json")),
+    # past the search's int64 guard; the same solutions and stats as I3
+    "count_1e18i3_a9_b9_m4": ({"inst.json": _instance((10 ** 18,) * 3, 9, 9, "4")}, COUNT,
+                              ("out.json", "m.json")),
     "count_diag112_a9_b9_m2": ({"inst.json": _instance((1, 1, 2), 9, 9, "2")}, COUNT,
                                ("out.json", "m.json")),
     "count_i3_a3_b5_m3over2": ({"inst.json": _instance((1, 1, 1), 3, 5, "3/2")}, COUNT,
@@ -47,7 +50,10 @@ CASES = {
                     ["chain", "--q", "q.json", "--L", "3", "--out", "out.json"],
                     ("out.json",)),
     "delta_n3": ({}, ["delta", "--n", "3", "--out", "out.json"], ("out.json",)),
+    "verify_seed0": ({}, ["verify", "--seed", "0", "--out", "out.json"], ("out.json",)),
 }
+# the subcommands without a --threads option
+SINGLE_THREADED = ("delta", "verify")
 
 
 def run_case(name, threads, workdir):
@@ -59,7 +65,7 @@ def run_case(name, threads, workdir):
         for path, obj in inputs.items():
             with open(path, "w") as fh:
                 fh.write(dumps(obj))
-        if argv[0] != "delta":
+        if argv[0] not in SINGLE_THREADED:
             argv = argv + ["--threads", str(threads)]
         assert main(argv) == 0
         digests = {}

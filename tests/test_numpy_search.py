@@ -2,8 +2,10 @@
 
 The walk's last two levels (`_last_two_levels`) must give the Python walk's
 vectors and node count on every window, and run only under
-`_walk_fits_int64`; the DFS's last two columns (`_SearchContext._last_pair`)
-must give the tuple path's solutions and every counter of `stats`.  Both
+`_walk_fits_int64`; the array DFS (its last two columns one pass,
+`_SearchContext._last_pair`), on int64 arrays and on object arrays, must
+give the solutions and every counter of `stats` of the oracle's search on
+int tuples (`oracles.TupleSearch`), with the pruning on and off.  Both
 must keep the budget verdict: it flips between budget = nodes and
 budget = nodes - 1, whichever path runs and however many workers split the
 search.
@@ -23,6 +25,8 @@ from isocount import enumeration
 from isocount.enumeration import CountingInstance, _SearchContext, enum_S
 from isocount.errors import DomainError, ResourceBudgetError
 from isocount.matrices import INT64_MAX, RationalSymMatrix
+
+from oracles import TupleSearch
 
 HALF = Fraction(1, 2)
 I2 = RationalSymMatrix.identity(2)
@@ -193,18 +197,32 @@ def test_walk_budget_verdict_flips_at_the_node_count(batched, q, lo, hi):
         walk(q, lo, hi, batched, budget=nodes - 1)
 
 
-def _tuple_search(instance, **kwargs):
-    """enum_S with the DFS on int tuples (np_qt forced to None)."""
+def search(instance, path, **kwargs):
+    """enum_S with its DFS on int64 arrays, on object arrays (the int64
+    guard forced to refuse) or on int tuples (the oracle's TupleSearch),
+    and the dtypes the array search took."""
+    dtypes = []
     run = _SearchContext.run
 
-    def tuple_run(self, order):
-        self.np_qt = None
+    def spied(self, order):
+        dtypes.append(self.dtype)
         return run(self, order)
 
-    with mock.patch.object(_SearchContext, "run", tuple_run):
-        return enum_S(instance, **kwargs)
+    patches = {"int64": nullcontext(),
+               "object": mock.patch.object(enumeration, "fits_int64", lambda *args: False),
+               "tuple": mock.patch.object(enumeration, "_SearchContext", TupleSearch)}
+    with patches[path], mock.patch.object(_SearchContext, "run", spied):
+        return enum_S(instance, **kwargs), dtypes
 
 
+def same_search(ours, oracle):
+    assert ours.stats == oracle.stats
+    assert [g.rows for g in ours.matrices] == [g.rows for g in oracle.matrices]
+
+
+# Q = 10^18 I3 is past the DFS's int64 guard at every a, b: its candidates
+# are those of I3, and n^2 10^18 max|x|^2 > 2^63 - 1 once max|x| >= 1
+BIG_I3 = RationalSymMatrix([[10 ** 18 * int(i == j) for j in range(3)] for i in range(3)])
 SEARCHES = [
     (I2, 1, 1, None), (I2, 1, 5, None), (I2, 5, 5, None), (Q21, 4, 1, None),
     (I2, 5, 5, Fraction(2)), (I2, 1, 5, Fraction(3, 2)), (Q21, 9, 1, Fraction(3, 2)),
@@ -212,27 +230,82 @@ SEARCHES = [
     (D112, 5, 5, None), (SKEW3, 3, 3, None), (I3, 3, 3, Fraction(2)),
     (I3, 7, 7, Fraction(4)), (SKEW3, 2, 2, Fraction(2)),
     (I4, 1, 1, None), (I4, 2, 2, None), (I4, 3, 3, None), (I4, 2, 2, Fraction(4)),
+    (BIG_I3, 3, 3, None), (BIG_I3, 9, 9, Fraction(4)),
 ]
 
 
 @pytest.mark.parametrize("q, a, b, big_m", SEARCHES)
 def test_numpy_last_pair_equals_the_tuple_search(q, a, b, big_m):
-    # n in {2, 3, 4}, b = 1 and b > 1, exact and error windows: the same
-    # solutions and the same stats, every prune kind included
+    # n in {2, 3, 4}, b = 1 and b > 1, exact and error windows, under the
+    # int64 guard and past it: the same solutions and the same stats, every
+    # prune kind included, on int64 arrays (where the guard admits them),
+    # on object arrays and on the oracle's tuples
     inst = CountingInstance(q, a, b, big_m=big_m)
     calls = []
     last_pair = _SearchContext._last_pair
 
     def counted(self, *args):
-        calls.append(len(args[2]))
+        calls.append(args[2].dtype == object)
         return last_pair(self, *args)
 
     with mock.patch.object(_SearchContext, "_last_pair", counted):
-        fast = enum_S(inst)
-    slow = _tuple_search(inst)
-    assert calls
-    assert fast.stats == slow.stats
-    assert [g.rows for g in fast.matrices] == [g.rows for g in slow.matrices]
+        fast, dtypes = search(inst, "int64")
+        wide, wide_dtypes = search(inst, "object")
+    slow, _ = search(inst, "tuple")
+    past = q is BIG_I3
+    assert dtypes == [object if past else np.int64] and wide_dtypes == [object]
+    assert set(calls) == ({True} if past else {False, True})
+    same_search(fast, slow)
+    same_search(wide, slow)
+
+
+@pytest.mark.parametrize("q, a, b, big_m", [(I3, 3, 3, None), (I2, 1, 1, None),
+                                             (I3, 3, 3, Fraction(2)), (Q21, 4, 1, Fraction(2)),
+                                             (BIG_I3, 3, 3, None), (I3, 2, 2, None)])
+def test_unpruned_search_equals_the_tuple_search(q, a, b, big_m):
+    # prune=False walks the arrays unfiltered and its leaf counts the first
+    # failing pair, as the oracle's pair loop does
+    inst = CountingInstance(q, a, b, big_m=big_m)
+    slow, _ = search(inst, "tuple", prune=False)
+    for path in ("int64", "object"):
+        same_search(search(inst, path, prune=False)[0], slow)
+
+
+@st.composite
+def instances(draw):
+    """A positive definite rational Q with n in {2, 3, 4}, diagonal or
+    not, small a and b, and an exact or an error regime."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    den = draw(st.sampled_from([1, 2]))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Fraction(draw(st.integers(den, 2 * den)), den)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = Fraction(draw(st.integers(-1, 1)), den)
+    try:
+        q = RationalSymMatrix(rows)
+    except DomainError:
+        assume(False)
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    big_m = draw(st.sampled_from([None, None, Fraction(2), Fraction(4)]))
+    return CountingInstance(q, a, b, big_m=big_m)
+
+
+def outcome(inst, path, prune):
+    """(stats, solution rows) of one search, or the budget refusal."""
+    try:
+        ss, _ = search(inst, path, budget=3000, prune=prune, force_search=True)
+    except ResourceBudgetError as exc:
+        return str(exc)
+    return ss.stats, [g.rows for g in ss.matrices]
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(), prune=st.booleans())
+def test_int64_equals_object_equals_the_oracle(inst, prune):
+    oracle = outcome(inst, "tuple", prune)
+    assert outcome(inst, "int64", prune) == oracle
+    assert outcome(inst, "object", prune) == oracle
 
 
 # n^2 max|Qt| bx^2 <= 2^63 - 1 for Q21 (n = 2, max|Qt| = 3) up to this bx
@@ -242,12 +315,14 @@ SEARCH_EDGE = math.isqrt(INT64_MAX // 12)
 @pytest.mark.parametrize("bx, inside", [(SEARCH_EDGE, True), (SEARCH_EDGE + 1, False)])
 def test_search_guard_at_its_bound(bx, inside):
     # the DFS holds its lists as int64 arrays exactly when fits_int64 bounds
-    # every dot and minor it forms from the largest candidate entry
+    # every dot and minor it forms from the largest candidate entry, and as
+    # object arrays past it
     inst = CountingInstance(Q21, 1, 1)
     cands = [[(0, 1)], [(-bx, 1), (1, 0)]]
     ctx = _SearchContext(inst, enumeration._entry_bounds(inst), cands,
                          enumeration._new_stats(), BUDGET, True)
-    assert (ctx.np_qt is not None) == inside
+    assert ctx.dtype == (np.int64 if inside else object)
+    assert ctx.np_qt.dtype == ctx.dtype
 
 
 def test_the_pair_pass_slices_its_rows(monkeypatch):
@@ -261,7 +336,8 @@ def test_the_pair_pass_slices_its_rows(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("q, a, b, big_m", [(I2, 25, 1, None), (I3, 5, 5, None),
-                                             (I3, 3, 3, Fraction(2)), (I4, 2, 2, None)])
+                                             (I3, 3, 3, Fraction(2)), (I4, 2, 2, None),
+                                             (BIG_I3, 3, 3, None)])
 def test_search_budget_verdict_flips_at_the_node_count(workers, q, a, b, big_m):
     # the search flips at its total node count, and each walk inside it at
     # its own: below the largest walk the walk refuses, at it the search
