@@ -8,7 +8,6 @@ the exact exponent optimization.
 
 from .bounds import (
     BoundReport,
-    ConstantsConfig,
     DeltaResult,
     SpectralParameters,
     basic_estimate,
@@ -17,7 +16,6 @@ from .bounds import (
     delta_calculator,
     laplace_eigenvalue,
     minimal_legal_parameters,
-    stronger_bound_exponents,
 )
 from .congruences import (
     ScalarWitness,
@@ -69,7 +67,6 @@ from .radicals import (
     FieldElement,
     RadicalFieldSpec,
     WellBalancedCertificate,
-    conjugate_moduli,
     distance_to_subspace,
     gram_schmidt,
     is_well_balanced,
@@ -86,12 +83,10 @@ from .recursion import (
 from .xchg import (
     ExchangeReport,
     SymSubspace,
-    TransferOperator,
     exchange_step,
     find_q_prime,
     intersect_kernels,
     select_generators,
-    transfer_operator,
 )
 
 __version__ = "0.1.0"

@@ -32,25 +32,13 @@ class SpectralParameters:
         return len(self.mu)
 
 
-@dataclass(frozen=True)
-class ConstantsConfig:
-    """The adjustable constants: all rational, all positive.
-
-    c1 scales the largeness condition on M (1 is the smallest legal scale
-    for desk-size parameter choices); eps is the envelope exponent slack;
-    envelope_constant the fitted constant of the point-count envelope.
-    """
-
-    c1: Fraction = Fraction(1)
-    eps: Fraction = Fraction(1, 2)
-    envelope_constant: Fraction = Fraction(100)
-
-    def __post_init__(self):
-        for name in ("c1", "eps", "envelope_constant"):
-            v = Fraction(getattr(self, name))
-            if v <= 0:
-                raise DomainError("constant %s must be positive" % name)
-            object.__setattr__(self, name, v)
+# the largeness condition on M reads M >= C1 D1^s D2^(s+1), s = n(n+1)/2
+# (C1 = 1 is the smallest legal scale for desk-size parameter choices); EPS
+# is the envelope exponent slack and ENVELOPE_CONSTANT the fitted constant of
+# the point-count envelope
+C1 = Fraction(1)
+EPS = Fraction(1, 2)
+ENVELOPE_CONSTANT = Fraction(100)
 
 
 def laplace_eigenvalue(params):
@@ -76,9 +64,9 @@ def convexity_exponent(n):
     return Fraction(n * (n - 1), 8)
 
 
-def condition_n_holds(n, config, d1, d2, big_m):
+def condition_n_holds(n, d1, d2, big_m):
     sym = n * (n + 1) // 2
-    return Fraction(big_m) >= config.c1 * Fraction(d1) ** sym * Fraction(d2) ** (sym + 1)
+    return Fraction(big_m) >= C1 * Fraction(d1) ** sym * Fraction(d2) ** (sym + 1)
 
 
 def condition_d_holds(n, d1, d2):
@@ -86,13 +74,9 @@ def condition_d_holds(n, d1, d2):
     return Fraction(d2) >= Fraction(d1) ** sym
 
 
-def minimal_legal_parameters(n, config=None):
+def minimal_legal_parameters(n):
     """Smallest (D1, D2, M) satisfying both parameter conditions."""
-    config = config or ConstantsConfig()
-    d1 = Fraction(1)
-    d2 = Fraction(1)
-    big_m = max(config.c1, Fraction(1))
-    return d1, d2, big_m
+    return Fraction(1), Fraction(1), max(C1, Fraction(1))
 
 
 @dataclass
@@ -141,14 +125,12 @@ def delta_calculator(n, d1=None, d2=None, big_m=None, allow_violations=False):
     the smallest E (i = k = 0) and the falling term at the largest; the
     optimum sits at the exact rational crossing.  The result is the saving
     on the squared-amplitude exponent; the single-power saving is half.
-    Missing parameters take their minimal legal values, and the conditions
-    are checked under the default ConstantsConfig.
+    Missing parameters take their minimal legal values.
     """
     if n < 2:
         raise DomainError("need n >= 2")
-    config = ConstantsConfig()
     if d1 is None or d2 is None or big_m is None:
-        md1, md2, mm = minimal_legal_parameters(n, config)
+        md1, md2, mm = minimal_legal_parameters(n)
         d1 = md1 if d1 is None else Fraction(d1)
         d2 = md2 if d2 is None else Fraction(d2)
         big_m = mm if big_m is None else Fraction(big_m)
@@ -160,7 +142,7 @@ def delta_calculator(n, d1=None, d2=None, big_m=None, allow_violations=False):
     bits = sum(x.numerator.bit_length() + x.denominator.bit_length() - 2 for x in (d1, d2))
     if (2 * sym + 1) * bits > MAX_POWER_BITS:
         raise ResourceBudgetError("powers of D1 and D2 beyond %d bits" % MAX_POWER_BITS)
-    cond_n = condition_n_holds(n, config, d1, d2, big_m)
+    cond_n = condition_n_holds(n, d1, d2, big_m)
     cond_d = condition_d_holds(n, d1, d2)
     if not allow_violations and not (cond_n and cond_d):
         raise DomainError(
@@ -295,24 +277,6 @@ def basic_estimate(inv_c_norm, l0, big_m, p_size, counts, n, level=1):
         achieved_exponent=achieved,
         delta_achieved=delta_achieved,
         level=level,
-        eps=Fraction(1, 2),
+        eps=EPS,
     )
 
-
-def stronger_bound_exponents(params, delta):
-    """The wall-sensitive bound: prod (1 + |mu_j - mu_k|)^(1/2 - delta).
-
-    Returns the per-pair factors with their common exponent and the float
-    value of the product.
-    """
-    delta = Fraction(delta)
-    expo = Fraction(1, 2) - delta
-    mu = params.mu
-    factors = []
-    value = 1.0
-    for j in range(len(mu)):
-        for k in range(j + 1, len(mu)):
-            base = 1 + abs(mu[j] - mu[k])
-            factors.append(((j, k), base, expo))
-            value *= float(base) ** float(expo)
-    return factors, value

@@ -29,9 +29,6 @@ class ScalarWitness:
     def modulus(self):
         return self.p ** self.rho
 
-    def inverse(self):
-        return inv_mod(self.a, self.modulus)
-
 
 def _completely_divisible(x, p):
     return all(v % p == 0 for v in x)
@@ -141,10 +138,3 @@ def _signed_sqrt(c2, positive):
 
 def _pi_lower():
     return iv.pi.a
-
-
-def packing_envelope(count, alpha_lower, n, constant):
-    """True iff count <= constant * alpha^(-(n-1)); alpha a float lower bound."""
-    if alpha_lower <= 0:
-        return False
-    return count <= constant * alpha_lower ** (-(n - 1))

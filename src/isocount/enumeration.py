@@ -567,9 +567,9 @@ def enum_S(
     search box is capped at MAX_ENTRY.  The search runs on int64 arrays
     under the int64 guard and on object arrays past it, with the same
     solutions and stats.  With prune=False the same arrays are walked as
-    the whole candidate product with leaf-only checks (used by the
-    pruning-soundness checks); the output set is identical, only
-    statistics differ.
+    the whole candidate product with leaf-only checks, the leaves under
+    each prefix of n-1 columns in one pass (used by the pruning-soundness
+    checks); the output set is identical, only statistics differ.
     force_search runs the search even where an irrational target already
     certifies the set empty.
     """
@@ -695,8 +695,9 @@ class _SearchContext:
     search, int64 while fits_int64 bounds every dot and minor the search
     forms and Python ints in an object array past it; the filter keeps rows
     of it, and the last two columns are one pass over all their pairs
-    (_last_pair).  With prune=False the same arrays are walked unfiltered
-    and the leaf tests every pair (_pairs_ok)."""
+    (_last_pair).  With prune=False the same arrays are walked unfiltered,
+    and every leaf under one prefix of n-1 columns is tested in one pass
+    (_last_column)."""
 
     def __init__(self, instance, bounds, cands, stats, budget, prune):
         self.inst = instance
@@ -709,6 +710,11 @@ class _SearchContext:
         self.cands = cands
         self.minor_pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
         self.minor_r, self.minor_s = (list(ix) for ix in zip(*self.minor_pairs))
+        # the windows of the pairs, object so that no bound is truncated
+        self.pair_lo, self.pair_hi = (
+            np.array(ends, dtype=object)
+            for ends in zip(*(self.bounds[i][k] for i, k in self.minor_pairs))
+        )
         # every dot x^T Qt y the search forms is at most n^2 max|Qt| max|x|^2
         # in absolute value, as is every minor (at most 2 max|x|^2)
         bx = max((abs(v) for c in cands for y in c for v in y), default=0)
@@ -726,11 +732,11 @@ class _SearchContext:
 
     def dfs(self, order, depth, placed, cands, out):
         n = self.inst.n
-        if depth == n:
-            self._leaf(placed, out)
-            return
         if depth == n - 2 and self.prune:
             self._last_pair(order, placed, cands[depth], cands[n - 1], out)
+            return
+        if depth == n - 1 and not self.prune:
+            self._last_column(order[depth], placed, cands[depth], out)
             return
         j = order[depth]
         for y in map(tuple, cands[depth].tolist()):
@@ -806,36 +812,46 @@ class _SearchContext:
                 leaf[k], leaf[j] = tuple(x), tuple(y)
                 self._leaf(leaf, out)
 
-    def _pairs_ok(self, cols):
-        """The filter's test on every pair i < j of a leaf's columns, in
-        (i, j) order: one prune for the first failing pair, pairwise when
-        its dot is outside the window, else minor.  The dots are one pass;
-        the minors are one pass over the pairs before the first dot outside."""
-        c = np.array(cols, dtype=self.dtype)
-        dots = (c @ self.np_qt @ c.T).tolist()
-        inside = []
-        for i, j in self.minor_pairs:
-            lo, hi = self.bounds[i][j]
-            if not lo <= dots[i][j] <= hi:
-                break
-            inside.append((i, j))
-        if inside and self.inst.b > 1:
+    def _last_column(self, j, placed, ys, out):
+        """Depth n-1 of the unpruned dfs as one pass: a node per row y of ys
+        (column j), then the filter's test on every pair i < k of each
+        leaf's columns, in (i, k) order, with one prune for the first
+        failing pair: minor when a minor fails before the first dot outside
+        its window, else pairwise.  The survivors go to _leaf in row order."""
+        self.stats["nodes"] += len(ys)
+        if self.stats["nodes"] > self.budget:
+            raise ResourceBudgetError("matrix enumeration budget exhausted")
+        if not len(ys):
+            return
+        n = self.inst.n
+        cols = np.empty((len(ys), n, n), dtype=self.dtype)
+        for col, v in placed.items():
+            cols[:, col] = v
+        cols[:, j] = ys
+        x, y = cols[:, self.minor_r], cols[:, self.minor_s]
+        dots = ((x @ self.np_qt) * y).sum(axis=2)
+        outside = (dots < self.pair_lo) | (dots > self.pair_hi)
+        npairs = len(self.minor_pairs)
+        first_out = np.where(outside.any(axis=1), outside.argmax(axis=1), npairs)
+        minor = np.zeros(len(ys), dtype=bool)
+        if self.inst.b > 1:
             r, s = self.minor_r, self.minor_s
-            i, j = (list(ix) for ix in zip(*inside))
-            x, y = c[i], c[j]
-            if ((x[:, r] * y[:, s] - x[:, s] * y[:, r]) % self.inst.b != 0).any():
-                self.stats["prunes"]["minor"] += 1
-                return False
-        if len(inside) < len(self.minor_pairs):
-            self.stats["prunes"]["pairwise"] += 1
-            return False
-        return True
+            minors = x[:, :, r] * y[:, :, s] - x[:, :, s] * y[:, :, r]
+            bad = (minors % self.inst.b != 0).any(axis=2)
+            before = np.arange(npairs) < first_out[:, None]
+            minor = (bad & before).any(axis=1)
+        pairwise = ~minor & (first_out < npairs)
+        prunes = self.stats["prunes"]
+        prunes["minor"] += int(minor.sum())
+        prunes["pairwise"] += int(pairwise.sum())
+        for row in ys[~(minor | pairwise)].tolist():
+            leaf = dict(placed)
+            leaf[j] = tuple(row)
+            self._leaf(leaf, out)
 
     def _leaf(self, placed, out):
         n = self.inst.n
         cols = [placed[j] for j in range(n)]
-        if not self.prune and not self._pairs_ok(cols):
-            return
         gamma = IntegerMatrix.from_columns(cols)
         if gamma.entry_gcd() != 1:
             self.stats["prunes"]["delta"] += 1

@@ -74,9 +74,6 @@ class IntegerMatrix:
     def column(self, j):
         return tuple(self.rows[i][j] for i in range(self.n))
 
-    def columns(self):
-        return tuple(self.column(j) for j in range(self.n))
-
     def det(self):
         return _int_det(self.rows)
 
@@ -518,10 +515,6 @@ class Region:
                 if not lo <= entries[i][j] <= hi:
                     return False
         return True
-
-    def contains(self, q):
-        """Exact membership of a RationalSymMatrix in the outer region."""
-        return self._in_box(q.entries, inner=False)
 
     def contains_inner(self, q):
         return self._in_box(q.entries, inner=True)

@@ -489,15 +489,6 @@ class FieldElement:
         return BalancedPair(self * den, self.spec.from_rational(den))
 
 
-def conjugate_moduli(x, prec=START_PREC):
-    """|sigma(x)| over every embedding as (lo, hi) float pairs, certified.
-
-    The product of the moduli of a nonzero integral element is at least 1
-    (its field norm is a nonzero rational integer)."""
-    with precision(prec):
-        return [(float(m.a), float(m.b)) for m in x.conjugate_moduli_intervals()]
-
-
 # ---------------------------------------------------------------------------
 # well-balanced bookkeeping
 
@@ -507,7 +498,8 @@ class BalancedPair:
     """A fraction num/den with both parts in the integral subring.
 
     Arithmetic composes witnesses the way the height bookkeeping wants:
-    products multiply parts, sums cross-multiply, inversion swaps.
+    products multiply parts, sums cross-multiply; swapping the parts gives
+    the inverse.
     """
 
     num: FieldElement
@@ -518,9 +510,6 @@ class BalancedPair:
             raise ZeroDivisionError("denominator is zero")
         if not (self.num.is_integral() and self.den.is_integral()):
             raise DomainError("pair parts must be integral")
-
-    def value(self):
-        return self.num / self.den
 
     def __mul__(self, other):
         return BalancedPair(self.num * other.num, self.den * other.den)
@@ -534,11 +523,6 @@ class BalancedPair:
 
     def __neg__(self):
         return BalancedPair(-self.num, self.den)
-
-    def invert(self):
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverting zero")
-        return BalancedPair(self.den, self.num)
 
 
 @dataclass(frozen=True)
@@ -685,9 +669,6 @@ class DistanceResult:
     distance: tuple  # (lo, hi) floats, certified
     max_pairing: tuple  # (lo, hi) floats for max_j |<b_j, v>|
     prec: int
-
-    def distance_is_zero(self):
-        return self.distance_sq.is_zero()
 
 
 def distance_to_subspace(v, generators, spec=None):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import ConstantsConfig, condition_d_holds, condition_n_holds
+from .bounds import EPS, ENVELOPE_CONSTANT, condition_d_holds, condition_n_holds
 from .enumeration import DEFAULT_BUDGET, CountingInstance, enum_S, verify_batch, verify_membership
 from .errors import DomainError, ResourceBudgetError
 from .matrices import Region
@@ -53,10 +53,6 @@ def classify_pair(p, q, nu, n):
     if (2 * nu) % n == 0:
         return PairCase.CASE2
     return PairCase.CASE1
-
-
-def target_is_integral(p, q, nu, n):
-    return p == q or (2 * nu) % n == 0
 
 
 @dataclass
@@ -333,29 +329,29 @@ class RecursionCertificate:
         return dumps(self.to_json()).encode()
 
 
-def _envelope_case2(count, p, q, nu, n, eps, constant):
-    """count <= C (1 + q/p)^(nu (n-1)) * (q p^(n-1))^(nu (n-2+eps) / n), exact."""
-    eps = Fraction(eps)
-    expo = Fraction(nu) * (n - 2 + eps) / n
+def _envelope_case2(count, p, q, nu, n):
+    """count <= C (1 + q/p)^(nu (n-1)) * (q p^(n-1))^(nu (n-2+eps) / n), exact,
+    with C = ENVELOPE_CONSTANT and eps = EPS."""
+    expo = Fraction(nu) * (n - 2 + EPS) / n
     v = expo.denominator
     lhs = Fraction(count) ** v
     rhs = (
-        Fraction(constant) ** v
+        ENVELOPE_CONSTANT ** v
         * (1 + Fraction(q, p)) ** (nu * (n - 1) * v)
         * Fraction(q * p ** (n - 1)) ** expo.numerator
     )
     return lhs <= rhs
 
 
-def _envelope_case3(count, p, nu, n, eps, den, constant):
-    """count <= C den^((n-1)^2/2) p^(nu(n-2+eps)), exact."""
-    eps = Fraction(eps)
-    expo = Fraction(nu) * (n - 2 + eps)
+def _envelope_case3(count, p, nu, n, den):
+    """count <= C den^((n-1)^2/2) p^(nu(n-2+eps)), exact, with
+    C = ENVELOPE_CONSTANT and eps = EPS."""
+    expo = Fraction(nu) * (n - 2 + EPS)
     half = Fraction((n - 1) ** 2, 2)
     v = math.lcm(expo.denominator, half.denominator)
     lhs = Fraction(count) ** v
     rhs = (
-        Fraction(constant) ** v
+        ENVELOPE_CONSTANT ** v
         * Fraction(den) ** int(half * v)
         * Fraction(p) ** int(expo * v)
     )
@@ -375,7 +371,6 @@ def proposition_driver(
     nu_values=None,
     budget=DEFAULT_BUDGET,
     workers=1,
-    config=None,
     pair_cap=64,
 ):
     """Run both chains and verify the per-pair bounds in the final window.
@@ -389,7 +384,6 @@ def proposition_driver(
     still verified exactly.
     """
     n = q.n
-    config = config or ConstantsConfig()
     dd = Fraction(d1) * Fraction(d2)
     if dd.denominator != 1:
         # L^((D1 D2)^(i+1)) is then no rational number for any level i
@@ -430,7 +424,7 @@ def proposition_driver(
                     continue
                 pairs_examined += 1
                 verdicts.append(
-                    _verify_pair(cache, star_cache, q_star, p, qq, nu, n, config)
+                    _verify_pair(cache, star_cache, q_star, p, qq, nu, n)
                 )
     outer_dims = tuple(outer.dims())
     inner_dims = tuple(inner.dims())
@@ -447,7 +441,7 @@ def proposition_driver(
         minor_values=tuple(sorted(minors)),
         coprimality_values=diag,
         value_bound=value_bound,
-        condition_n=(big_m is None) or condition_n_holds(n, config, d1, d2, big_m),
+        condition_n=(big_m is None) or condition_n_holds(n, d1, d2, big_m),
         condition_d=condition_d_holds(n, d1, d2),
         interval_nesting=_interval_nesting_holds(l_param, l_cal, d1, d2, i, n),
         outer_dims=outer_dims,
@@ -459,7 +453,7 @@ def proposition_driver(
     )
 
 
-def _verify_pair(cache, star_cache, q_star, p, qq, nu, n, config):
+def _verify_pair(cache, star_cache, q_star, p, qq, nu, n):
     case = classify_pair(p, qq, nu, n)
     a, b = qq ** nu, p ** nu
     inst_star = CountingInstance(q_star, a=a, b=b, big_m=None)
@@ -481,13 +475,9 @@ def _verify_pair(cache, star_cache, q_star, p, qq, nu, n, config):
         forced = enum_S(inst_star, budget=star_cache.budget, force_search=True)
         envelope_ok = envelope_ok and forced.count == 0
     elif case is PairCase.CASE2:
-        envelope_ok = _envelope_case2(
-            star_set.count, p, qq, nu, n, config.eps, config.envelope_constant
-        )
+        envelope_ok = _envelope_case2(star_set.count, p, qq, nu, n)
     else:
-        envelope_ok = _envelope_case3(
-            star_set.count, p, nu, n, config.eps, q_star.den, config.envelope_constant
-        )
+        envelope_ok = _envelope_case3(star_set.count, p, nu, n, q_star.den)
     return PairVerdict(
         p=p,
         q=qq,

@@ -1,4 +1,4 @@
-"""The transfer operator on symmetric matrices, kernel intersections, the
+"""Operator rows on symmetric matrices, kernel intersections, the
 generator selection that assembles the replacement field, and the bounded
 replacement matrix.
 
@@ -38,10 +38,8 @@ from .errors import (
 from .matrices import (
     BATCH,
     Echelon,
-    IntegerMatrix,
     RationalSymMatrix,
     Region,
-    congruence,
     fits_int64,
     int64_stack,
     ldl,
@@ -86,37 +84,6 @@ def scalar_root_is_rational(m, n):
     return iroot(m, n)[1]
 
 
-@dataclass(frozen=True)
-class TransferOperator:
-    """Matrix of Q -> gamma^T Q gamma - m^(1/n) Q on the symmetric basis."""
-
-    gamma: IntegerMatrix
-    m: int
-    spec: RadicalFieldSpec
-    scalar: FieldElement
-    rows: tuple
-
-    @property
-    def n(self):
-        return self.gamma.n
-
-    def apply(self, sym_entries):
-        """Image of a symmetric matrix, computed through the stored rows."""
-        n = self.n
-        vec = [self.spec.coerce(x) for x in sym_to_vec(sym_entries, n)]
-        out = [vec_dot(row, vec) for row in self.rows]
-        return vec_to_sym(out, n)
-
-    def apply_direct(self, sym_entries):
-        """gamma^T Q gamma - m^(1/n) Q evaluated entrywise (spot-check path)."""
-        q = [[self.spec.coerce(x) for x in row] for row in sym_entries]
-        conj = congruence(q, self.gamma.rows)
-        return [
-            [c - self.scalar * x for c, x in zip(crow, qrow)]
-            for crow, qrow in zip(conj, q)
-        ]
-
-
 def _scale_root(m, n, spec):
     """m^(1/n): an int when m is a perfect n-th power, else an element of spec."""
     root, exact = iroot(m, n)
@@ -140,21 +107,6 @@ def _operator_rows(gamma, scalar):
             row.append(val - scalar if col == rix else val)
         rows.append(tuple(row))
     return rows
-
-
-def transfer_operator(gamma, m, spec=None):
-    """Exact operator matrix over spec (by default Q(m^(1/n)), which is Q
-    when m is a perfect n-th power)."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    n = gamma.n
-    if spec is None:
-        spec = RadicalFieldSpec(n, () if scalar_root_is_rational(m, n) else [m])
-    scalar = spec.coerce(_scale_root(m, n, spec))
-    rows = tuple(
-        tuple(spec.coerce(x) for x in row) for row in _operator_rows(gamma, scalar)
-    )
-    return TransferOperator(gamma=gamma, m=m, spec=spec, scalar=scalar, rows=rows)
 
 
 @dataclass

@@ -8,8 +8,11 @@ import math
 
 import numpy as np
 
+from isocount import xchg
+from isocount.arith import iroot
 from isocount.errors import ResourceBudgetError
 from isocount.matrices import IntegerMatrix
+from isocount.radicals import RadicalFieldSpec
 
 
 def box_norm_vectors(q, t_lo, t_hi, box):
@@ -223,3 +226,36 @@ class TupleSearch:
 
 def solution_set_flat(solution_set):
     return sorted(g.flat() for g in solution_set.matrices)
+
+
+class TransferOperator:
+    """Q -> gamma^T Q gamma - m^(1/n) Q over spec (by default Q(m^(1/n)),
+    which is Q when m is a perfect n-th power): `rows` are the pipeline's
+    operator rows, and apply_direct evaluates the map entry by entry with
+    no shared code."""
+
+    def __init__(self, gamma, m, spec=None):
+        n = gamma.n
+        if spec is None:
+            spec = RadicalFieldSpec(n, () if iroot(m, n)[1] else [m])
+        self.gamma = gamma
+        self.spec = spec
+        self.scalar = spec.coerce(xchg._scale_root(m, n, spec))
+        self.rows = tuple(
+            tuple(spec.coerce(x) for x in row)
+            for row in xchg._operator_rows(gamma, self.scalar)
+        )
+
+    def apply_direct(self, sym_entries):
+        """(gamma^T Q gamma)_ij = sum_kl g_ki Q_kl g_lj, minus m^(1/n) Q_ij."""
+        g = self.gamma.rows
+        q = [[self.spec.coerce(x) for x in row] for row in sym_entries]
+        n = len(q)
+        return [
+            [
+                sum(g[k][i] * q[k][l] * g[l][j] for k in range(n) for l in range(n))
+                - self.scalar * q[i][j]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]

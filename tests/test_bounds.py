@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from isocount import bounds
 from isocount.bounds import (
-    ConstantsConfig,
     SpectralParameters,
     basic_estimate,
     c_function_norm,
@@ -13,7 +13,6 @@ from isocount.bounds import (
     delta_calculator,
     laplace_eigenvalue,
     minimal_legal_parameters,
-    stronger_bound_exponents,
 )
 from isocount.errors import DomainError
 
@@ -93,7 +92,7 @@ def test_delta_legal_large_parameters():
     n = 2
     d1 = Fraction(2)
     d2 = d1 ** 3
-    big_m = ConstantsConfig().c1 * d1 ** 3 * d2 ** 4
+    big_m = bounds.C1 * d1 ** 3 * d2 ** 4
     res = delta_calculator(n, d1=d1, d2=d2, big_m=big_m)
     assert res.condition_n and res.condition_d and res.delta > 0
     assert res.e_min == d1 * d2 * d1
@@ -137,15 +136,3 @@ def test_basic_estimate_delta_consistency():
     recomputed = math.log(sum(terms)) / math.log(float(rep.inv_c_norm))
     assert abs(recomputed - rep.achieved_exponent) < 1e-12
     assert abs(rep.delta_achieved - (2 - recomputed)) < 1e-12
-
-
-def test_stronger_bound():
-    params = SpectralParameters((Fraction(1), Fraction(-1)))
-    facs, val = stronger_bound_exponents(params, Fraction(1, 100))
-    assert facs == [((0, 1), 3, Fraction(49, 100))]
-    assert abs(val - 3 ** 0.49) < 1e-12
-    _, val_half = stronger_bound_exponents(params, Fraction(1, 2))
-    assert val_half == 1.0
-    # consistency with the density normalization at delta = 0
-    _, val0 = stronger_bound_exponents(params, 0)
-    assert abs(val0 - float(c_function_norm(params.mu)) ** 0.5) < 1e-12

@@ -51,6 +51,7 @@ CASES = {
                     ("out.json",)),
     "delta_n3": ({}, ["delta", "--n", "3", "--out", "out.json"], ("out.json",)),
     "verify_seed0": ({}, ["verify", "--seed", "0", "--out", "out.json"], ("out.json",)),
+    "verify_seed3": ({}, ["verify", "--seed", "3", "--out", "out.json"], ("out.json",)),
 }
 # the subcommands without a --threads option
 SINGLE_THREADED = ("delta", "verify")

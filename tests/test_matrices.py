@@ -154,9 +154,9 @@ def test_sym_matrix_validation():
 def test_region():
     q = RationalSymMatrix.identity(2)
     reg = Region.box_around(q, Fraction(1, 4))
-    assert reg.contains(q) and reg.contains_inner(q)
+    assert reg.box_contains_entries(q.entries) and reg.contains_inner(q)
     near = RationalSymMatrix([[Fraction(5, 4), 0], [0, 1]])
-    assert reg.contains(near)
+    assert reg.box_contains_entries(near.entries)
     assert not reg.contains_inner(near)  # on the outer boundary
     with pytest.raises(DomainError):
         Region([[0, 0], [0, 0]], [[0, 1], [1, 1]])  # zero-width side

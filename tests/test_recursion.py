@@ -12,7 +12,6 @@ from isocount.recursion import (
     inner_chain,
     outer_chain,
     proposition_driver,
-    target_is_integral,
 )
 
 I2 = RationalSymMatrix.identity(2)
@@ -32,13 +31,6 @@ def test_classify_examples():
     assert classify_pair(3, 5, 1, 2) is PairCase.CASE2
     with pytest.raises(DomainError):
         classify_pair(3, 5, 4, 3)
-
-
-def test_target_integrality():
-    assert target_is_integral(3, 3, 1, 3)
-    assert target_is_integral(3, 5, 3, 3)
-    assert not target_is_integral(3, 5, 1, 3)
-    assert target_is_integral(3, 5, 1, 2)
 
 
 def test_interval_math():
@@ -107,12 +99,8 @@ def test_driver_n2():
 
 
 def test_driver_flags_parameter_violations():
-    from isocount.bounds import ConstantsConfig
-
-    config = ConstantsConfig(c1=5)
-    cert = proposition_driver(
-        I2, 3, 1, 1, big_m=Fraction(3), pair_cap=4, config=config, nu_values=[1]
-    )
+    # M = 3 < C1 D1^3 D2^4 = 16 at D1 = 1, D2 = 2
+    cert = proposition_driver(I2, 3, 1, 2, big_m=Fraction(3), pair_cap=4, nu_values=[1])
     assert not cert.condition_n
     assert cert.condition_d
 

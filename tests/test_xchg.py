@@ -17,7 +17,7 @@ from isocount.errors import (
 )
 from isocount.arith import interval_of
 from isocount.matrices import Echelon, IntegerMatrix, RationalSymMatrix, Region
-from isocount.radicals import RadicalFieldSpec
+from isocount.radicals import RadicalFieldSpec, vec_dot
 from isocount.xchg import (
     default_pairs,
     exchange_step,
@@ -28,9 +28,9 @@ from isocount.xchg import (
     pair_scalar_m,
     select_generators,
     sym_to_vec,
-    transfer_operator,
     vec_to_sym,
 )
+from oracles import TransferOperator
 
 I2 = RationalSymMatrix.identity(2)
 I3 = RationalSymMatrix.identity(3)
@@ -49,13 +49,13 @@ def test_sym_coordinates_roundtrip():
 
 
 def test_zero_operator_identity():
-    op = transfer_operator(IntegerMatrix.identity(2), 1)
+    op = TransferOperator(IntegerMatrix.identity(2), 1)
     assert all(x.is_zero() for row in op.rows for x in row)
 
 
 def test_zero_operator_scalar_case():
     # gamma = p I with m = p^(2n): conjugation scales by p^2 = m^(1/n)
-    op = transfer_operator(IntegerMatrix.diagonal([3, 3]), 3 ** 4)
+    op = TransferOperator(IntegerMatrix.diagonal([3, 3]), 3 ** 4)
     assert all(x.is_zero() for row in op.rows for x in row)
 
 
@@ -71,10 +71,11 @@ def test_operator_apply_consistency():
     rng = random.Random(5)
     for m in (2, 3, 8):
         g = IntegerMatrix([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
-        op = transfer_operator(g, m)
+        op = TransferOperator(g, m)
         s = [[Fraction(rng.randint(-4, 4)) for _ in range(2)] for _ in range(2)]
         s[1][0] = s[0][1]
-        via_matrix = op.apply(s)
+        vec = [op.spec.coerce(x) for x in sym_to_vec(s, 2)]
+        via_matrix = vec_to_sym([vec_dot(row, vec) for row in op.rows], 2)
         direct = op.apply_direct(s)
         for i in range(2):
             for j in range(2):
@@ -251,7 +252,7 @@ def test_operator_annihilates_exchange_basis():
     for pair, ss in sorted(rep.solutions.items()):
         m = pair_scalar_m(pair, 3)
         for gamma in ss.matrices[:10]:
-            op = transfer_operator(gamma, m)
+            op = TransferOperator(gamma, m)
             for bm in basis_mats:
                 vals = [[x.rational_value() for x in row] for row in bm]
                 image = op.apply_direct(vals)
@@ -341,7 +342,7 @@ def test_intersect_kernels_is_the_nullspace_of_the_stacked_operators(data):
     n, contribs = data
     sym_dim = n * (n + 1) // 2
     spec = RadicalFieldSpec(n, [m for _, m, _ in contribs if not iroot(m, n)[1]])
-    ops = [transfer_operator(gamma, m, spec) for gamma, m, _ in contribs]
+    ops = [TransferOperator(gamma, m, spec) for gamma, m, _ in contribs]
     ech = Echelon()
     rank = sum(ech.add(row) for op in ops for row in op.rows)
     if rank == sym_dim:
@@ -463,7 +464,7 @@ def test_batched_selection_equals_the_greedy_echelon_scan(data, batch):
     stream = [
         (row, (label, gamma, ridx))
         for gamma, m, label in contribs
-        for ridx, row in enumerate(transfer_operator(gamma, m, spec).rows)
+        for ridx, row in enumerate(TransferOperator(gamma, m, spec).rows)
     ]
     rows, labels = greedy_echelon_scan(stream, sym_dim)
     with mock.patch.object(xchg, "BATCH", batch):
