@@ -41,6 +41,12 @@ rational (ints and Fractions only, so the instance still pickles).  With
 t an integer and thr rational each entry is one integer comparison;
 otherwise it is the certified sign in the field of t and thr, built per
 call.  Neither comes from the search's windows.
+
+Two kinds of process parallelism, neither of which changes an output or a
+budget verdict: enum_S with workers > 1 splits the first column of one
+instance over a pool (the count command and the chain's pair verdicts),
+and enum_many spreads whole instances, each at one worker, over one pool
+(the exchange's pairs and each chain level's cache misses).
 """
 
 import math
@@ -571,7 +577,10 @@ def enum_S(
     each prefix of n-1 columns in one pass (used by the pruning-soundness
     checks); the output set is identical, only statistics differ.
     force_search runs the search even where an irrational target already
-    certifies the set empty.
+    certifies the set empty.  workers > 1 splits the first column of this
+    one instance over a process pool (_parallel_enum) when it has at least
+    4 candidates per worker; enum_many runs many instances at one worker
+    each over one pool instead.
     """
     stats = _new_stats()
     t = instance.target
@@ -685,6 +694,38 @@ def _parallel_enum(instance, bounds, order, cand, budget, prune, workers, stats)
     if stats["nodes"] > budget:
         raise ResourceBudgetError("matrix enumeration budget exhausted")
     return solutions
+
+
+def _enum_task(instance, budget):
+    """One whole instance in a pool process, at one worker, its post-hoc
+    verification included.  The pool pickles this function by its import
+    path, so it must stay a plain module-level function."""
+    return enum_S(instance, budget=budget)
+
+
+def enum_many(instances, budget, workers):
+    """The SolutionSet of each instance, in input order, from one pool of
+    at most `workers` processes that runs whole instances, each under the
+    same node budget a serial loop gives it.
+
+    The largest instances (by a b^(n-1)) are submitted first, ties in input
+    order.  The results are read in input order, so the first failure in
+    input order is raised, which is the exception a serial loop over the
+    instances raises; the instances still pending then are cancelled."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    if not instances:
+        return []
+    order = sorted(range(len(instances)), key=lambda i: (-instances[i].s, i))
+    futures = {}
+    with ProcessPoolExecutor(max_workers=min(workers, len(instances))) as ex:
+        for i in order:
+            futures[i] = ex.submit(_enum_task, instances[i], budget)
+        try:
+            return [futures[i].result() for i in range(len(instances))]
+        finally:
+            for fut in futures.values():
+                fut.cancel()
 
 
 class _SearchContext:

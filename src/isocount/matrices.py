@@ -71,9 +71,6 @@ class IntegerMatrix:
     def __repr__(self):
         return "IntegerMatrix(%r)" % (self.rows,)
 
-    def column(self, j):
-        return tuple(self.rows[i][j] for i in range(self.n))
-
     def det(self):
         return _int_det(self.rows)
 

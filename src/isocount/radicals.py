@@ -30,7 +30,7 @@ from .intervals import (
     iv_pow_fraction,
     precision,
 )
-from .matrices import Echelon, det, solve
+from .matrices import Echelon, solve
 
 
 def euler_phi(n):
@@ -358,23 +358,7 @@ class FieldElement:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    # -- norms, embeddings, signs -------------------------------------------
-
-    def norm(self):
-        """Field norm: determinant of multiplication by the element. Exact."""
-        if self.is_zero():
-            return Fraction(0)
-        if self.is_rational():
-            return self.rational_value() ** self.spec.dimension
-        mons = self.spec.monomials()
-        index = {e: i for i, e in enumerate(mons)}
-        d = len(mons)
-        mat = [[Fraction(0)] * d for _ in range(d)]
-        for j, e in enumerate(mons):
-            prod = self * FieldElement(self.spec, {e: Fraction(1)})
-            for ee, c in prod.coeffs.items():
-                mat[index[ee]][j] = c
-        return det(mat)
+    # -- embeddings, signs -------------------------------------------------
 
     def real_interval(self):
         """Interval for the real embedding at the current working precision."""

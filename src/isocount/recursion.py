@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import EPS, ENVELOPE_CONSTANT, condition_d_holds, condition_n_holds
-from .enumeration import DEFAULT_BUDGET, CountingInstance, enum_S, verify_batch, verify_membership
+from .enumeration import (
+    DEFAULT_BUDGET,
+    CountingInstance,
+    enum_many,
+    enum_S,
+    verify_batch,
+    verify_membership,
+)
 from .errors import DomainError, ResourceBudgetError
 from .matrices import Region
 from .primes import good_prime_set, residue_system
@@ -79,7 +86,11 @@ class ChainResult:
 
 
 class _EnumCache:
-    """Per-driver cache of solution sets keyed by (a, b); Q and M fixed."""
+    """Per-driver cache of solution sets keyed by (a, b); Q and M fixed.
+
+    get enumerates one miss at a time, split over the workers inside the
+    instance; fill enumerates every miss of a key list as whole instances
+    over one pool of the workers (enum_many), as a chain level does."""
 
     def __init__(self, q, big_m, budget, workers=1):
         self.q = q
@@ -95,10 +106,18 @@ class _EnumCache:
             self.store[key] = enum_S(inst, budget=self.budget, workers=self.workers)
         return self.store[key]
 
+    def fill(self, keys):
+        misses = [key for key in keys if key not in self.store]
+        instances = [CountingInstance(self.q, a=a, b=b, big_m=self.big_m) for a, b in misses]
+        self.store.update(zip(misses, enum_many(instances, self.budget, self.workers)))
+
 
 def _level_subspace(cache, pairs, n):
+    pairs = sorted(pairs)
+    if cache.workers > 1:
+        cache.fill([(q ** nu, p ** nu) for p, q, nu in pairs])
     contributions = []
-    for pair in sorted(pairs):
+    for pair in pairs:
         p, q, nu = pair
         ss = cache.get(q ** nu, p ** nu)
         m = pair_scalar_m(pair, n)

@@ -23,6 +23,7 @@ from .enumeration import (
     DEFAULT_BUDGET,
     CountingInstance,
     SymbolicSymMatrix,
+    enum_many,
     enum_S,
     verify_batch,
     verify_membership,
@@ -502,7 +503,10 @@ def exchange_step(
     matrix in the exact-equation set of the replacement.  A containment
     violation is an internal-consistency failure, never a soft result.
     The region defaults to Region.reference_box(q) and must hold q in its
-    inner box (PreconditionFailed otherwise).
+    inner box (PreconditionFailed otherwise).  With workers > 1 the pairs'
+    instances run whole, one per task, over one pool of at most `workers`
+    processes (enum_many), each under `budget`, so the report and the
+    budget verdict are those of workers = 1.
     """
     n = q.n
     if region is None:
@@ -514,15 +518,17 @@ def exchange_step(
         pairs = default_pairs(low, high, n, nu_values)
     pairs = sorted(set(pairs))
 
-    solutions = {}
+    instances = [CountingInstance(q, a=qq ** nu, b=p ** nu, big_m=big_m)
+                 for p, qq, nu in pairs]
+    if workers > 1:
+        sets = enum_many(instances, budget, workers)
+    else:
+        sets = [enum_S(inst, budget=budget) for inst in instances]
+    solutions = dict(zip(pairs, sets))
     contributions = []
     for pair in pairs:
-        p, qq, nu = pair
-        inst = CountingInstance(q, a=qq ** nu, b=p ** nu, big_m=big_m)
-        ss = enum_S(inst, budget=budget, workers=workers)
-        solutions[pair] = ss
         m = pair_scalar_m(pair, n)
-        for gamma in ss.matrices:
+        for gamma in solutions[pair].matrices:
             contributions.append((gamma, m, pair))
 
     sub = intersect_kernels(contributions, n)

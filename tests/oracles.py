@@ -5,6 +5,7 @@ Fincke-Pohst walk, no congruence pruning, no Smith form."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from isocount import xchg
 from isocount.arith import iroot
 from isocount.errors import ResourceBudgetError
 from isocount.matrices import IntegerMatrix
-from isocount.radicals import RadicalFieldSpec
+from isocount.radicals import FieldElement, RadicalFieldSpec
 
 
 def box_norm_vectors(q, t_lo, t_hi, box):
@@ -222,6 +223,27 @@ class TupleSearch:
             self.stats["prunes"]["delta"] += 1
             return
         out.append(IntegerMatrix(rows))
+
+
+def field_norm(z):
+    """The field norm of z: the determinant of multiplication by z on the
+    monomial basis of its field, by plain Gaussian elimination over Q."""
+    mons = z.spec.monomials()
+    columns = [(z * FieldElement(z.spec, {e: Fraction(1)})).coeffs for e in mons]
+    a = [[col.get(e, Fraction(0)) for col in columns] for e in mons]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
 
 
 def solution_set_flat(solution_set):

@@ -140,8 +140,9 @@ def test_collinearity_consequence_on_enumeration_data():
     for g in ss.matrices:
         # the statement carries the non-divisibility hypotheses: the shared
         # reference column and both candidate columns keep a unit entry
-        if unit_part(g.column(0)) and unit_part(g.column(1)):
-            by_first[g.column(0)].append(g.column(1))
+        first, second = list(zip(*g.rows))[:2]  # the columns
+        if unit_part(first) and unit_part(second):
+            by_first[first].append(second)
     checked = 0
     for first, seconds in by_first.items():
         for i in range(len(seconds)):

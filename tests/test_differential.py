@@ -7,6 +7,9 @@ the subcommands that take none.  Every output file must be the same bytes
 in both runs and must match the sha256 digest committed in
 `differential_digests.json`.  A refactor that changes a solution, a
 statistic, a pair verdict or a single character of a report fails here.
+The `count` cases also run with every int64 guard of the enumeration
+refused, so the walk, the search and the post-hoc pass take their
+Python-integer paths, and must give the same digests.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ import os
 
 import pytest
 
+from isocount import enumeration
 from isocount.cli import main
 from isocount.serialize import dumps
 
@@ -89,3 +93,22 @@ def test_outputs_are_byte_identical(name, tmp_path):
         runs.append(run_case(name, threads, workdir))
     assert runs[0] == runs[1]
     assert runs[0] == frozen
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][1][0] == "count"))
+def test_count_outputs_match_with_object_arrays_forced(name, tmp_path, monkeypatch):
+    guards = ("fits_int64", "_walk_fits_int64")
+    refused = set()
+
+    def refusing(guard):
+        def refuse(*args):
+            refused.add(guard)
+            return False
+        return refuse
+
+    for guard in guards:
+        monkeypatch.setattr(enumeration, guard, refusing(guard))
+    with open(DIGESTS) as fh:
+        frozen = json.load(fh)[name]
+    assert run_case(name, 1, tmp_path) == frozen
+    assert refused == set(guards)

@@ -1,12 +1,14 @@
-"""Every top-level function and class of the library has a caller in the
-library itself.
+"""Every top-level function and class of the library, and every method,
+has a caller in the library itself.
 
 A name counts as referenced when it appears as a bare name, as an
 attribute or in an import anywhere in `src/isocount` outside its own
-definition; the re-exports of `__init__` do not count, so a function that
-only its unit tests reach fails here.  The exemptions are the `_check_*`
-functions of `verify` (looked up by name) and the documented entry points
-below that nothing in the library calls.
+definition; the re-exports of `__init__` do not count, so a function or
+method that only its unit tests reach fails here.  Special methods
+(`__eq__`, ...) are called by the language and exempt.  The other
+exemptions are the `_check_*` functions of `verify` (looked up by name),
+the documented entry points below that nothing in the library calls, and
+the methods below that a caller outside the library's own code calls.
 """
 
 import ast
@@ -18,6 +20,9 @@ SRC = os.path.dirname(os.path.abspath(isocount.__file__))
 # called by the acceptance tests; count_S and select_generators are
 # documented entry points
 ENTRY_POINTS = {"first_column_bound", "distance_to_subspace", "count_S", "select_generators"}
+# argparse calls _Parser.error; holds_exactly is the test of the result of
+# the entry point first_column_bound
+ENTRY_METHODS = {"_Parser.error", "FirstColumnBound.holds_exactly"}
 
 
 def _modules():
@@ -40,22 +45,50 @@ def _references(tree):
     return out
 
 
-def test_every_top_level_definition_is_referenced_in_the_library():
+def _unreached(definitions):
+    """The names '<module>.<qualname>' of the (qualname, node) pairs that
+    definitions(module, tree) yields which the library never references
+    outside their own body."""
     modules = list(_modules())
     refs = {mod: _references(tree) for mod, tree in modules}
     unreached = []
     for mod, tree in modules:
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if name in ENTRY_POINTS or (mod == "verify" and name.startswith("_check_")):
-                continue
+        for qualname, node in definitions(mod, tree):
             own = range(node.lineno, node.end_lineno + 1)
             if not any(
-                ref == name and not (other == mod and line in own)
+                ref == node.name and not (other == mod and line in own)
                 for other, found in refs.items()
                 for ref, line in found
             ):
-                unreached.append("%s.%s" % (mod, name))
-    assert unreached == []
+                unreached.append("%s.%s" % (mod, qualname))
+    return unreached
+
+
+def _top_level(mod, tree):
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name in ENTRY_POINTS or (mod == "verify" and node.name.startswith("_check_")):
+            continue
+        yield node.name, node
+
+
+def _methods(mod, tree):
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            qualname = "%s.%s" % (cls.name, node.name)
+            special = node.name.startswith("__") and node.name.endswith("__")
+            if not special and qualname not in ENTRY_METHODS:
+                yield qualname, node
+
+
+def test_every_top_level_definition_is_referenced_in_the_library():
+    assert _unreached(_top_level) == []
+
+
+def test_every_method_is_referenced_in_the_library():
+    assert _unreached(_methods) == []
