@@ -44,12 +44,14 @@ call.  Neither comes from the search's windows.
 
 Two kinds of process parallelism, neither of which changes an output or a
 budget verdict: enum_S with workers > 1 splits the first column of one
-instance over a pool (the count command and the chain's pair verdicts),
-and enum_many spreads whole instances, each at one worker, over one pool
-(the exchange's pairs and each chain level's cache misses).
+instance over a pool (the count command, the chain's pair verdicts and a
+lone instance), and enum_many spreads two or more whole instances, each
+at one worker, over one pool (the exchange's pairs and each chain level's
+cache misses).  No pool starts more processes than os.cpu_count().
 """
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -685,7 +687,7 @@ def _parallel_enum(instance, bounds, order, cand, budget, prune, workers, stats)
     left = budget - stats["nodes"]
     jobs = [(instance, bounds, order, [chunk] + other, left, prune) for chunk in chunks]
     solutions = []
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=_pool_size(workers, len(jobs))) as ex:
         for rows_list, wstats in ex.map(_chunk_worker, jobs):
             solutions.extend(IntegerMatrix(rows) for rows in rows_list)
             stats["nodes"] += wstats["nodes"]
@@ -696,6 +698,13 @@ def _parallel_enum(instance, bounds, order, cand, budget, prune, workers, stats)
     return solutions
 
 
+def _pool_size(workers, tasks):
+    """Processes for a pool of `tasks` tasks: at most one per task and one
+    per CPU, whatever `workers` asks for, since the pool starts them all at
+    once.  The tasks, and so every output, do not depend on it."""
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
 def _enum_task(instance, budget):
     """One whole instance in a pool process, at one worker, its post-hoc
     verification included.  The pool pickles this function by its import
@@ -704,21 +713,25 @@ def _enum_task(instance, budget):
 
 
 def enum_many(instances, budget, workers):
-    """The SolutionSet of each instance, in input order, from one pool of
-    at most `workers` processes that runs whole instances, each under the
+    """The SolutionSet of each instance, in input order, each under the
     same node budget a serial loop gives it.
 
-    The largest instances (by a b^(n-1)) are submitted first, ties in input
-    order.  The results are read in input order, so the first failure in
-    input order is raised, which is the exception a serial loop over the
-    instances raises; the instances still pending then are cancelled."""
+    Fewer than two instances run through enum_S at `workers`, which splits
+    one large instance over a pool (_parallel_enum).  Otherwise one pool of
+    _pool_size processes runs whole instances, each at one worker, the
+    largest (by a b^(n-1)) submitted first, ties in input order.  The
+    results are read in input order, so the first failure in input order is
+    raised, which is the exception a serial loop over the instances raises.
+    The instances still pending then are cancelled, but the pool is shut
+    down only once the running ones end, each within its node budget, so
+    an error can take up to one budgeted instance per process to surface."""
     from concurrent.futures import ProcessPoolExecutor
 
-    if not instances:
-        return []
+    if len(instances) < 2:
+        return [enum_S(inst, budget=budget, workers=workers) for inst in instances]
     order = sorted(range(len(instances)), key=lambda i: (-instances[i].s, i))
     futures = {}
-    with ProcessPoolExecutor(max_workers=min(workers, len(instances))) as ex:
+    with ProcessPoolExecutor(max_workers=_pool_size(workers, len(instances))) as ex:
         for i in order:
             futures[i] = ex.submit(_enum_task, instances[i], budget)
         try:

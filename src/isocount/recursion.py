@@ -89,8 +89,8 @@ class _EnumCache:
     """Per-driver cache of solution sets keyed by (a, b); Q and M fixed.
 
     get enumerates one miss at a time, split over the workers inside the
-    instance; fill enumerates every miss of a key list as whole instances
-    over one pool of the workers (enum_many), as a chain level does."""
+    instance; fill enumerates the misses of a key list through enum_many
+    (two or more as whole instances over one pool), as a chain level does."""
 
     def __init__(self, q, big_m, budget, workers=1):
         self.q = q

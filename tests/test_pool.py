@@ -12,9 +12,11 @@ import contextlib
 import io
 import json
 import multiprocessing
+import os
 
 import pytest
 
+from isocount import enumeration
 from isocount.cli import main
 from isocount.enumeration import DEFAULT_BUDGET, CountingInstance, enum_many, enum_S
 from isocount.errors import ResourceBudgetError
@@ -24,6 +26,7 @@ from isocount.xchg import exchange_step
 
 I3 = RationalSymMatrix.identity(3)
 LARGEST = (5, 5, 3)  # the pair of exchange_step(I3, 3, 1) with the most nodes
+POOL = min(2, os.cpu_count() or 1)  # the processes a pool gets at 2 workers
 
 
 @pytest.fixture
@@ -48,7 +51,7 @@ def serial_exchange():
 
 def test_exchange_runs_one_pool(pools, serial_exchange):
     report = exchange_step(I3, 3, 1, workers=2)
-    assert pools == [2]
+    assert pools == [POOL]
     assert report.to_json() == serial_exchange.to_json()
     assert {p: s.stats for p, s in report.solutions.items()} == {
         p: s.stats for p, s in serial_exchange.solutions.items()}
@@ -57,7 +60,7 @@ def test_exchange_runs_one_pool(pools, serial_exchange):
 def test_chain_runs_at_most_one_pool_per_level(pools):
     chain = outer_chain(I3, 3, 1, 1, workers=2)
     assert 1 <= len(pools) <= len(chain.levels)
-    assert set(pools) == {2}
+    assert set(pools) == {POOL}
     assert chain.dims() == outer_chain(I3, 3, 1, 1, workers=1).dims()
 
 
@@ -83,7 +86,7 @@ def test_enum_many_raises_what_a_serial_loop_raises(pools):
         enum_many(instances, 100, 2)
     assert "budget exhausted" in str(serial.value)
     assert str(pooled.value) == str(serial.value)
-    assert pools == [2]
+    assert pools == [POOL]
 
 
 def test_enum_many_keeps_input_order():
@@ -95,6 +98,37 @@ def test_enum_many_keeps_input_order():
         assert ss.instance == inst
         assert (ss.matrices, ss.stats) == (serial.matrices, serial.stats)
     assert enum_many([], 1, 2) == []
+
+
+def test_one_instance_is_split_inside_not_spread(pools, monkeypatch, serial_exchange):
+    # one pair at 2 workers takes the parent's path: enum_S at 2 workers,
+    # which splits the first column over a pool, not a pool of one process
+    split = []
+    base = enumeration._parallel_enum
+
+    def recorded(*args):
+        split.append(args[-2])
+        return base(*args)
+
+    monkeypatch.setattr(enumeration, "_parallel_enum", recorded)
+    report = exchange_step(I3, 3, 1, pairs=[LARGEST], workers=2)
+    assert split == [2]
+    assert pools == [POOL]
+    assert report.solutions[LARGEST].matrices == serial_exchange.solutions[LARGEST].matrices
+
+
+def test_pools_are_capped_at_the_cpu_count(pools, monkeypatch):
+    # a --threads far above the CPU count starts one process per CPU; no
+    # more than 2 are started here, whatever the workers asked for
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    instances = [CountingInstance(I3, 3, 3), CountingInstance(I3, 5, 5)]
+    pooled = enum_many(instances, DEFAULT_BUDGET, 64)
+    assert [ss.matrices for ss in pooled] == [enum_S(inst).matrices for inst in instances]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    inst = CountingInstance(I3, 9, 9)  # 102 candidates a column: 25 chunks of 4+
+    split = enum_S(inst, workers=25)
+    assert (split.matrices, split.stats) == (enum_S(inst).matrices, enum_S(inst).stats)
+    assert pools == [1, 2]
 
 
 @pytest.mark.parametrize("short", [False, True])
