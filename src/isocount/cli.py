@@ -143,8 +143,7 @@ def _instance_from_json(obj, force_exact=False):
 
 def cmd_count(args):
     inst = _instance_from_json(_json_object(args.instance, "instance"), force_exact=args.exact)
-    ss = enum_S(inst, budget=args.budget, workers=args.threads,
-                collect=args.emit_matrices is not None)
+    ss = enum_S(inst, budget=args.budget, workers=args.threads)
     result = {
         "schema": 1,
         "instance": inst.describe(),

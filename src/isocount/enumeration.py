@@ -42,14 +42,15 @@ t an integer and thr rational each entry is one integer comparison;
 otherwise it is the certified sign in the field of t and thr, built per
 call.  Neither comes from the search's windows.
 
-Two kinds of process parallelism, neither of which changes an output or a
-budget verdict: enum_S with workers > 1 splits the first column of one
-instance over a pool (the count command, the chain's pair verdicts and a
-lone instance), and enum_many spreads two or more whole instances, each
-at one worker, over one pool (the exchange's pairs and each chain level's
-cache misses).  No pool starts more processes than os.cpu_count().
+One kind of process parallelism, which changes no output and no budget
+verdict, behind both enum_S (one instance) and enum_many (a list): each
+task is one slice of a first column, searched and verified post hoc.
+The tasks of one call (the count command, a chain level or pair verdict,
+an exchange) share one pool, of at most os.cpu_count() processes.
 """
 
+import contextlib
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -560,15 +561,8 @@ def _entry_bounds(instance):
     return [[win[v] for v in row] for row in qt]
 
 
-def enum_S(
-    instance,
-    budget=DEFAULT_BUDGET,
-    prune=True,
-    collect=True,
-    workers=1,
-    force_search=False,
-):
-    """Enumerate the full solution set; see count_S for the count-only door.
+def enum_S(instance, budget=DEFAULT_BUDGET, prune=True, workers=1, force_search=False):
+    """Enumerate the full solution set, each matrix verified post hoc.
 
     budget caps the nodes of each column's walk and of the matrix search
     (ResourceBudgetError past it), whatever the worker count; each walk's
@@ -579,76 +573,22 @@ def enum_S(
     each prefix of n-1 columns in one pass (used by the pruning-soundness
     checks); the output set is identical, only statistics differ.
     force_search runs the search even where an irrational target already
-    certifies the set empty.  workers > 1 splits the first column of this
-    one instance over a process pool (_parallel_enum) when it has at least
-    4 candidates per worker; enum_many runs many instances at one worker
-    each over one pool instead.
+    certifies the set empty.  workers > 1 runs slices of the first column
+    over one process pool (_enumerate), with the outcome of workers = 1.
     """
-    stats = _new_stats()
-    t = instance.target
-    n = instance.n
-
-    if (
-        not t.is_rational
-        and instance.exact
-        and not isinstance(instance.q, SymbolicSymMatrix)
-        and not force_search
-    ):
-        # exact equation with irrational scale against a rational Q: the
-        # diagonal entries alone force emptiness; certified symbolically
-        stats["short_circuit"] = "irrational_target"
-        return SolutionSet(instance=instance, matrices=(), stats=stats)
-
-    if isinstance(instance.q, SymbolicSymMatrix):
-        raise DomainError("enumeration needs a rational Q; symbolic Q supports membership only")
-
-    bounds = _entry_bounds(instance)
-    den = instance.q.den
-    # one walk per distinct diagonal window; each column still pays its
-    # walk's nodes, so the counts and budget verdicts are per column
-    walks = {}
-    cand = []
-    for j in range(n):
-        window = bounds[j][j]
-        if window not in walks:
-            counter = [0]
-            lo, hi = window
-            vectors = _enum_window(
-                instance.q, Fraction(lo, den), Fraction(hi, den), budget, counter
-            )
-            walks[window] = vectors, counter[0]
-        vectors, nodes = walks[window]
-        cand.append(vectors)
-        stats["nodes"] += nodes
-    stats["candidates_per_column"] = [len(c) for c in cand]
-
-    order = sorted(range(n), key=lambda j: (len(cand[j]), j))
-    solutions = []
-
-    if workers > 1 and prune and len(cand[order[0]]) >= 4 * workers:
-        solutions = _parallel_enum(instance, bounds, order, cand, budget, prune, workers, stats)
-    else:
-        cands = [cand[j] for j in order]
-        solutions = _SearchContext(instance, bounds, cands, stats, budget, prune).run(order)
-
-    solutions.sort(key=lambda m: m.flat())
-    for g in solutions:
-        if not verify_membership(instance, g):
-            raise InternalConsistencyError(
-                "emitted matrix fails independent re-verification: %r" % (g,)
-            )
-    stats["count"] = len(solutions)
-    return SolutionSet(
-        instance=instance,
-        matrices=tuple(solutions) if collect else (),
-        stats=stats,
-    )
+    return _enumerate([instance], budget, workers, prune, force_search)[0]
 
 
 def count_S(instance, **kwargs):
-    """|S(Q, a, b, M)| without materializing the matrices."""
-    kwargs.setdefault("collect", False)
+    """|S(Q, a, b, M)|: the count of enum_S's solution set, which is built
+    and verified in full."""
     return enum_S(instance, **kwargs).count
+
+
+def enum_many(instances, budget, workers):
+    """The SolutionSet of each instance, in input order, as a serial loop
+    of enum_S gives it, with the slices of all of them over one pool."""
+    return _enumerate(instances, budget, workers, True, False)
 
 
 def _new_stats():
@@ -661,84 +601,151 @@ def _new_stats():
     }
 
 
-def _split_chunks(items, k):
-    k = max(1, min(k, len(items)))
-    size = (len(items) + k - 1) // k
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _enumerate(instances, budget, workers, prune, force_search):
+    """The SolutionSet of each instance, in input order, with the matrices,
+    stats, budget verdicts and first error of a serial loop at one worker.
 
-
-def _chunk_worker(args):
-    instance, bounds, order, cands, budget, prune = args
-    stats = _new_stats()
-    sols = _SearchContext(instance, bounds, cands, stats, budget, prune).run(order)
-    return [g.rows for g in sols], stats
-
-
-def _parallel_enum(instance, bounds, order, cand, budget, prune, workers, stats):
-    """Partition the first enumerated column across processes; the merge is
-    re-sorted by the caller, so the outcome is independent of worker count.
-    Each worker may spend what the walk left of the node budget, and the
-    merged node count is held to the budget, so the budget verdict does not
-    depend on the worker count either."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = _split_chunks(cand[order[0]], workers)
-    other = [cand[j] for j in order[1:]]
-    left = budget - stats["nodes"]
-    jobs = [(instance, bounds, order, [chunk] + other, left, prune) for chunk in chunks]
-    solutions = []
-    with ProcessPoolExecutor(max_workers=_pool_size(workers, len(jobs))) as ex:
-        for rows_list, wstats in ex.map(_chunk_worker, jobs):
-            solutions.extend(IntegerMatrix(rows) for rows in rows_list)
-            stats["nodes"] += wstats["nodes"]
-            for k in stats["prunes"]:
-                stats["prunes"][k] += wstats["prunes"][k]
-    if stats["nodes"] > budget:
-        raise ResourceBudgetError("matrix enumeration budget exhausted")
-    return solutions
-
-
-def _pool_size(workers, tasks):
-    """Processes for a pool of `tasks` tasks: at most one per task and one
-    per CPU, whatever `workers` asks for, since the pool starts them all at
-    once.  The tasks, and so every output, do not depend on it."""
-    return min(workers, tasks, os.cpu_count() or 1)
-
-
-def _enum_task(instance, budget):
-    """One whole instance in a pool process, at one worker, its post-hoc
-    verification included.  The pool pickles this function by its import
-    path, so it must stay a plain module-level function."""
-    return enum_S(instance, budget=budget)
-
-
-def enum_many(instances, budget, workers):
-    """The SolutionSet of each instance, in input order, each under the
-    same node budget a serial loop gives it.
-
-    Fewer than two instances run through enum_S at `workers`, which splits
-    one large instance over a pool (_parallel_enum).  Otherwise one pool of
-    _pool_size processes runs whole instances, each at one worker, the
-    largest (by a b^(n-1)) submitted first, ties in input order.  The
-    results are read in input order, so the first failure in input order is
-    raised, which is the exception a serial loop over the instances raises.
-    The instances still pending then are cancelled, but the pool is shut
-    down only once the running ones end, each within its node budget, so
-    an error can take up to one budgeted instance per process to surface."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    if len(instances) < 2:
-        return [enum_S(inst, budget=budget, workers=workers) for inst in instances]
-    order = sorted(range(len(instances)), key=lambda i: (-instances[i].s, i))
-    futures = {}
-    with ProcessPoolExecutor(max_workers=_pool_size(workers, len(instances))) as ex:
-        for i in order:
-            futures[i] = ex.submit(_enum_task, instances[i], budget)
+    The parent prepares the instances in input order (_prepare); the
+    tasks, one per slice of a first column, run through _outcomes.  Each
+    instance's slices are merged in input order: their node sum is held to
+    the budget and their matrices are sorted.  An instance whose
+    preparation raises ends the preparation; the instances before it still
+    run, and the first failure among them wins over its error."""
+    plans, tasks = [], []
+    failure = None
+    for inst in instances:
         try:
-            return [futures[i].result() for i in range(len(instances))]
+            ss, slices = _prepare(inst, budget, workers, prune, force_search)
+        except Exception as exc:
+            failure = exc
+            break
+        plans.append((ss, len(slices)))
+        tasks.extend(slices)
+    with contextlib.closing(_outcomes(tasks, workers)) as outcomes:
+        for ss, count in plans:
+            found, bad, walked = [], [], ss.stats["nodes"]
+            for part, stats, failed in itertools.islice(outcomes, count):
+                found.extend(part)
+                bad.extend(failed)
+                ss.stats["nodes"] += stats["nodes"]
+                for kind, k in stats["prunes"].items():
+                    ss.stats["prunes"][kind] += k
+            # a serial search checks the budget at each node it visits,
+            # so a search that visits none raises nothing
+            if ss.stats["nodes"] > max(budget, walked):
+                raise ResourceBudgetError("matrix enumeration budget exhausted")
+            if bad:
+                raise InternalConsistencyError(
+                    "emitted matrix fails independent re-verification: %r"
+                    % (min(bad, key=IntegerMatrix.flat),)
+                )
+            found.sort(key=IntegerMatrix.flat)
+            ss.matrices = tuple(found)
+            ss.stats["count"] = len(found)
+    if failure is not None:
+        raise failure
+    return [ss for ss, _ in plans]
+
+
+def _prepare(instance, budget, workers, prune, force_search):
+    """An instance's SolutionSet with the walks' stats, and its search
+    tasks: none when an irrational target certifies the set empty, else
+    one per slice of the first column (in search order), which is cut into
+    `workers` slices when it has at least 4 candidates per worker.  Each
+    task may spend what the walks left of the node budget."""
+    stats = _new_stats()
+    ss = SolutionSet(instance=instance, matrices=(), stats=stats)
+    n = instance.n
+    symbolic = isinstance(instance.q, SymbolicSymMatrix)
+    if instance.exact and not (instance.target.is_rational or symbolic or force_search):
+        # exact equation with irrational scale against a rational Q: the
+        # diagonal entries alone force emptiness; certified symbolically
+        stats["short_circuit"] = "irrational_target"
+        return ss, []
+
+    if symbolic:
+        raise DomainError("enumeration needs a rational Q; symbolic Q supports membership only")
+
+    bounds = _entry_bounds(instance)
+    q, den = instance.q, instance.q.den
+    # one walk per distinct diagonal window; each column still pays its
+    # walk's nodes, so the counts and budget verdicts are per column
+    walks = {}
+    cand = []
+    for j in range(n):
+        window = bounds[j][j]
+        if window not in walks:
+            counter = [0]
+            lo, hi = window
+            vectors = _enum_window(q, Fraction(lo, den), Fraction(hi, den), budget, counter)
+            walks[window] = vectors, counter[0]
+        vectors, nodes = walks[window]
+        cand.append(vectors)
+        stats["nodes"] += nodes
+    stats["candidates_per_column"] = [len(c) for c in cand]
+
+    order = sorted(range(n), key=lambda j: (len(cand[j]), j))
+    first, other = cand[order[0]], [cand[j] for j in order[1:]]
+    slices = [first]
+    if workers > 1 and len(first) >= 4 * workers:
+        size = -(-len(first) // workers)
+        slices = [first[i:i + size] for i in range(0, len(first), size)]
+    left = budget - stats["nodes"]
+    return ss, [(instance, bounds, order, [part] + other, left, prune) for part in slices]
+
+
+def _search_slice(instance, bounds, order, cands, budget, prune):
+    """One search task: the matrices with column order[d] from cands[d],
+    the search's own stats, and the matrices that verify_membership
+    rejects (the caller raises on them once the budget holds, as a serial
+    search then verification would).  The pool pickles this function by
+    its import path, so it must stay a plain module-level function."""
+    stats = _new_stats()
+    found = _SearchContext(instance, bounds, cands, stats, budget, prune).run(order)
+    return found, stats, [g for g in found if not verify_membership(instance, g)]
+
+
+def _outcomes(tasks, workers):
+    """The outcome of each task, in input order, read lazily.
+
+    With workers > 1 and at least two tasks, one pool runs them, those of
+    the largest instance (by a b^(n-1)) submitted first, ties in input
+    order; else they run here, one by one.  The pool has at most one
+    process per task and per CPU, whatever `workers` asks for, since it
+    starts them all at once.  When the reader stops early (on a failure),
+    the pending tasks are cancelled, and the pool is shut down once the
+    running ones end, each within its node budget."""
+    if workers < 2 or len(tasks) < 2:
+        for task in tasks:
+            yield _search_slice(*task)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    order = sorted(range(len(tasks)), key=lambda i: (-tasks[i][0].s, i))
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(size, initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
+        futures = {i: pool.submit(_search_slice, *tasks[i]) for i in order}
+        try:
+            for i in range(len(tasks)):
+                yield futures[i].result()
         finally:
             for fut in futures.values():
                 fut.cancel()
+
+
+def _exit_with_parent(parent):
+    """Pool initializer: a daemon thread ends this worker once its parent
+    process is gone (its parent pid changes), so a run killed by a signal
+    leaves no worker blocked on the pool's call queue."""
+    import threading
+    import time
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 class _SearchContext:

@@ -1,6 +1,6 @@
 """Exact integer/rational matrix primitives.
 
-The exact elimination kernel (`Echelon`, with `det` and `solve` on top),
+The exact elimination kernel (`Echelon`, with `solve` on top),
 the bilinear forms x^T A y and G^T A G (`bilinear`, `congruence`),
 determinantal divisors, denominators, 2x2 minor sets and the
 quadratic-residue goodness test for primes.  No floating point anywhere;
@@ -43,10 +43,6 @@ class IntegerMatrix:
 
     def __reduce__(self):
         return (IntegerMatrix, (self.rows,))
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, diag):
@@ -182,17 +178,6 @@ def _eliminate(row, other, piv):
     if not f:
         return row
     return [a - f * b for a, b in zip(row, other)]
-
-
-def det(rows):
-    """Determinant of a square matrix over an exact field."""
-    ech = Echelon()
-    for row in rows:
-        if not ech.add(row):
-            return rows[0][0] * 0
-    p = ech.pivots
-    inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1 :])
-    return (-1) ** inversions * math.prod(ech.leads)
 
 
 def _dot(u, v):

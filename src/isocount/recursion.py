@@ -88,9 +88,10 @@ class ChainResult:
 class _EnumCache:
     """Per-driver cache of solution sets keyed by (a, b); Q and M fixed.
 
-    get enumerates one miss at a time, split over the workers inside the
-    instance; fill enumerates the misses of a key list through enum_many
-    (two or more as whole instances over one pool), as a chain level does."""
+    get enumerates one miss through enum_S; fill enumerates the misses of
+    a key list through enum_many, as a chain level does.  Either way the
+    first column of each miss is cut into slices that share one pool of
+    the workers, with the outcome of one worker."""
 
     def __init__(self, q, big_m, budget, workers=1):
         self.q = q

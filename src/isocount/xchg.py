@@ -504,9 +504,9 @@ def exchange_step(
     violation is an internal-consistency failure, never a soft result.
     The region defaults to Region.reference_box(q) and must hold q in its
     inner box (PreconditionFailed otherwise).  With workers > 1 the pairs'
-    instances go to enum_many, which runs two or more whole, one per task,
-    over one pool, each under `budget` (a lone pair is split inside), so
-    the report and the budget verdict are those of workers = 1.
+    instances go to enum_many, which runs the slices of their first
+    columns over one pool, each instance under `budget`, so the report
+    and the budget verdict are those of workers = 1.
     """
     n = q.n
     if region is None:

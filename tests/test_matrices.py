@@ -50,7 +50,7 @@ def random_unimodular(rng, n, steps=6):
 
 
 def test_divisor_identity_and_prime_diag():
-    i4 = IntegerMatrix.identity(4)
+    i4 = IntegerMatrix.diagonal([1] * 4)
     for j in range(1, 5):
         assert determinantal_divisor(i4, j) == 1
     assert determinantal_divisor(IntegerMatrix.diagonal([1, 7]), 2) == 7
@@ -58,7 +58,7 @@ def test_divisor_identity_and_prime_diag():
 
 
 def test_divisor_index_errors():
-    m = IntegerMatrix.identity(2)
+    m = IntegerMatrix.diagonal([1] * 2)
     with pytest.raises(DomainError):
         determinantal_divisor(m, 0)
     with pytest.raises(DomainError):

@@ -1,10 +1,11 @@
-"""One process pool per exchange run and per chain level.
+"""One process pool per call: every task is a verified first-column slice.
 
-`enumeration.enum_many` spreads whole instances over one pool.  These
-tests count the pools a run creates by wrapping `ProcessPoolExecutor`,
-check that the budget verdict and the raised error are those of a serial
-loop, and that no worker process outlives a run.  No test here asks for
-more than 2 processes.
+`enum_S` and `enum_many` cut the first column of each instance into
+slices and run them over one pool.  These tests count the pools a run
+creates by wrapping `ProcessPoolExecutor`, check that the outcome, the
+budget verdict and the raised error are those of a serial loop at one
+worker, and that no worker process outlives a run, not even a run that
+is killed.  No test here asks for more than 2 processes.
 """
 
 import concurrent.futures
@@ -13,13 +14,16 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 from isocount import enumeration
 from isocount.cli import main
 from isocount.enumeration import DEFAULT_BUDGET, CountingInstance, enum_many, enum_S
-from isocount.errors import ResourceBudgetError
+from isocount.errors import InternalConsistencyError, ResourceBudgetError
 from isocount.matrices import RationalSymMatrix
 from isocount.recursion import outer_chain
 from isocount.xchg import exchange_step
@@ -73,20 +77,31 @@ def test_exchange_budget_verdict_independent_of_workers(workers, serial_exchange
         exchange_step(I3, 3, 1, budget=nodes - 1, workers=workers)
 
 
+# (instances, budget, whether a pool starts), each failing at budget
+CASES = [
+    # the first one fails on its walk, in the parent, before any search;
+    # the later, larger one would fail at once on its search box
+    ([CountingInstance(I3, 5, 5), CountingInstance(I3, 10 ** 30, 1),
+      CountingInstance(I3, 3, 3)], 100, False),
+    # the second one fails in the searches of its slices, in the pool; the
+    # third, largest one fails on its search box, which stops the
+    # preparation, but a serial loop never reaches it
+    ([CountingInstance(I3, 3, 3), CountingInstance(I3, 27, 27),
+      CountingInstance(I3, 10 ** 30, 1)], 9000, True),
+]
+
+
 def test_enum_many_raises_what_a_serial_loop_raises(pools):
-    # the second instance is the largest, goes first and fails at once on
-    # its search box; the first one fails later on its node budget, where a
-    # serial loop stops
-    instances = [CountingInstance(I3, 5, 5), CountingInstance(I3, 10 ** 30, 1),
-                 CountingInstance(I3, 3, 3)]
-    with pytest.raises(ResourceBudgetError) as serial:
-        for inst in instances:
-            enum_S(inst, budget=100)
-    with pytest.raises(ResourceBudgetError) as pooled:
-        enum_many(instances, 100, 2)
-    assert "budget exhausted" in str(serial.value)
-    assert str(pooled.value) == str(serial.value)
-    assert pools == [POOL]
+    for instances, budget, pool in CASES:
+        with pytest.raises(ResourceBudgetError) as serial:
+            for inst in instances:
+                enum_S(inst, budget=budget)
+        with pytest.raises(ResourceBudgetError) as pooled:
+            enum_many(instances, budget, 2)
+        assert "budget exhausted" in str(serial.value)
+        assert str(pooled.value) == str(serial.value)
+        assert pools == ([POOL] if pool else [])
+        pools.clear()
 
 
 def test_enum_many_keeps_input_order():
@@ -101,20 +116,62 @@ def test_enum_many_keeps_input_order():
 
 
 def test_one_instance_is_split_inside_not_spread(pools, monkeypatch, serial_exchange):
-    # one pair at 2 workers takes the parent's path: enum_S at 2 workers,
-    # which splits the first column over a pool, not a pool of one process
-    split = []
-    base = enumeration._parallel_enum
+    # one pair at 2 workers: its first column is cut into slices that run,
+    # each with its post-hoc verification, over one pool; the parent
+    # verifies nothing itself (a forked worker counts in its own copy)
+    verified = []
+    base = enumeration.verify_membership
 
-    def recorded(*args):
-        split.append(args[-2])
+    def counted(*args):
+        verified.append(args)
         return base(*args)
 
-    monkeypatch.setattr(enumeration, "_parallel_enum", recorded)
+    monkeypatch.setattr(enumeration, "verify_membership", counted)
     report = exchange_step(I3, 3, 1, pairs=[LARGEST], workers=2)
-    assert split == [2]
     assert pools == [POOL]
-    assert report.solutions[LARGEST].matrices == serial_exchange.solutions[LARGEST].matrices
+    assert verified == []
+    ss, serial = report.solutions[LARGEST], serial_exchange.solutions[LARGEST]
+    assert (ss.matrices, ss.stats) == (serial.matrices, serial.stats)
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_a_split_instance_gives_the_outcome_of_one_worker(pools, prune):
+    # 30 candidates a column, at least 4 per worker: two slices, one pool,
+    # and the budget verdict flips where a serial search's does
+    inst = CountingInstance(I3, 3, 3)
+    serial = enum_S(inst, prune=prune)
+    nodes = serial.stats["nodes"]
+    split = enum_S(inst, budget=nodes, prune=prune, workers=2)
+    assert (split.matrices, split.stats) == (serial.matrices, serial.stats)
+    with pytest.raises(ResourceBudgetError, match="matrix enumeration"):
+        enum_S(inst, budget=nodes - 1, prune=prune, workers=2)
+    assert pools == [POOL, POOL]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_reverification_is_raised_as_a_serial_run_raises_it(monkeypatch, workers):
+    # two planted rejections, the first and the last matrix in sorted
+    # order: the first is named, and only once the budget has held
+    inst = CountingInstance(I3, 3, 3)
+    ss = enum_S(inst)
+    rejected = {ss.matrices[0], ss.matrices[-1]}
+    monkeypatch.setattr(enumeration, "verify_membership", lambda _, g: g not in rejected)
+    with pytest.raises(InternalConsistencyError) as failed:
+        enum_S(inst, workers=workers)
+    assert str(failed.value).endswith(repr(ss.matrices[0]))
+    with pytest.raises(ResourceBudgetError):
+        enum_S(inst, budget=ss.stats["nodes"] - 1, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_search_that_visits_no_node_charges_only_the_walks(workers):
+    # x^2 + 2y^2 takes neither 7 nor 14: both walks are empty, and their
+    # 8 nodes pass a budget of 5, since each walk stays within it
+    inst = CountingInstance(RationalSymMatrix([[1, 0], [0, 2]]), 7, 1)
+    ss = enum_S(inst, budget=5, workers=workers)
+    assert (ss.count, ss.stats["nodes"], ss.stats["candidates_per_column"]) == (0, 8, [0, 0])
+    with pytest.raises(ResourceBudgetError, match="norm-vector"):
+        enum_S(inst, budget=3, workers=workers)
 
 
 def test_pools_are_capped_at_the_cpu_count(pools, monkeypatch):
@@ -125,7 +182,7 @@ def test_pools_are_capped_at_the_cpu_count(pools, monkeypatch):
     pooled = enum_many(instances, DEFAULT_BUDGET, 64)
     assert [ss.matrices for ss in pooled] == [enum_S(inst).matrices for inst in instances]
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    inst = CountingInstance(I3, 9, 9)  # 102 candidates a column: 25 chunks of 4+
+    inst = CountingInstance(I3, 9, 9)  # 102 candidates a column: 21 slices
     split = enum_S(inst, workers=25)
     assert (split.matrices, split.stats) == (enum_S(inst).matrices, enum_S(inst).stats)
     assert pools == [1, 2]
@@ -144,3 +201,52 @@ def test_no_process_outlives_an_exchange_run(short, serial_exchange, tmp_path):
         rc = main(argv)
     assert (rc, err.getvalue()[:16]) == ((2, "resource error: ") if short else (0, ""))
     assert multiprocessing.active_children() == []
+
+
+# starts a pool of POOL workers on long slices, prints their pids once all
+# are up, and is killed while they run
+ORPHAN = """
+import multiprocessing, sys, threading, time
+from isocount.enumeration import CountingInstance, enum_many
+from isocount.matrices import RationalSymMatrix
+
+def report():
+    while len(multiprocessing.active_children()) < int(sys.argv[1]):
+        time.sleep(0.01)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+
+threading.Thread(target=report, daemon=True).start()
+enum_many([CountingInstance(RationalSymMatrix.identity(3), 125, 125)] * 4, 10 ** 8, 2)
+"""
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # an exited worker nobody has reaped yet is a zombie
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(enumeration.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN, str(POOL)], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert len(workers) == POOL
+    deadline = time.monotonic() + 5
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, workers))

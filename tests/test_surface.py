@@ -1,10 +1,13 @@
 """Every top-level function and class of the library, and every method,
 has a caller in the library itself.
 
-A name counts as referenced when it appears as a bare name, as an
-attribute or in an import anywhere in `src/isocount` outside its own
-definition; the re-exports of `__init__` do not count, so a function or
-method that only its unit tests reach fails here.  Special methods
+A top-level name counts as referenced when, outside its own definition,
+`src/isocount` names it bare in its own module, imports it from its
+module, or reads it as `<module>.<name>` through any alias of that
+module, so a method of the same name does not hide it.  A method counts
+as referenced when its name appears as a bare name, an attribute or an
+import anywhere.  The re-exports of `__init__` do not count, so a
+function or method that only its unit tests reach fails here.  Special methods
 (`__eq__`, ...) are called by the language and exempt.  The other
 exemptions are the `_check_*` functions of `verify` (looked up by name),
 the documented entry points below that nothing in the library calls, and
@@ -32,7 +35,7 @@ def _modules():
                 yield name[:-3], ast.parse(fh.read())
 
 
-def _references(tree):
+def _names(mod, tree):
     """(name, line) of every bare name, attribute and imported name."""
     out = []
     for node in ast.walk(tree):
@@ -45,18 +48,42 @@ def _references(tree):
     return out
 
 
-def _unreached(definitions):
-    """The names '<module>.<qualname>' of the (qualname, node) pairs that
-    definitions(module, tree) yields which the library never references
-    outside their own body."""
+def _qualified(mod, tree):
+    """((module, name), line) of every top-level name the module refers to:
+    a bare name of its own, a name imported from a library module, or
+    <module>.<name> through a module imported under any alias (`from .
+    import verify as verify_mod`)."""
+    aliases = {}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").removeprefix("isocount").lstrip(".")
+            for alias in node.names:
+                if source:
+                    out.append(((source, alias.name), node.lineno))
+                else:
+                    aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(((mod, node.id), node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                out.append(((aliases[node.value.id], node.attr), node.lineno))
+    return out
+
+
+def _unreached(definitions, references):
+    """The names '<module>.<qualname>' of the (qualname, node, key) triples
+    that definitions(module, tree) yields whose key no reference of
+    references(module, tree) matches outside their own body."""
     modules = list(_modules())
-    refs = {mod: _references(tree) for mod, tree in modules}
+    refs = {mod: references(mod, tree) for mod, tree in modules}
     unreached = []
     for mod, tree in modules:
-        for qualname, node in definitions(mod, tree):
+        for qualname, node, key in definitions(mod, tree):
             own = range(node.lineno, node.end_lineno + 1)
             if not any(
-                ref == node.name and not (other == mod and line in own)
+                ref == key and not (other == mod and line in own)
                 for other, found in refs.items()
                 for ref, line in found
             ):
@@ -70,7 +97,7 @@ def _top_level(mod, tree):
             continue
         if node.name in ENTRY_POINTS or (mod == "verify" and node.name.startswith("_check_")):
             continue
-        yield node.name, node
+        yield node.name, node, (mod, node.name)
 
 
 def _methods(mod, tree):
@@ -83,12 +110,12 @@ def _methods(mod, tree):
             qualname = "%s.%s" % (cls.name, node.name)
             special = node.name.startswith("__") and node.name.endswith("__")
             if not special and qualname not in ENTRY_METHODS:
-                yield qualname, node
+                yield qualname, node, node.name
 
 
 def test_every_top_level_definition_is_referenced_in_the_library():
-    assert _unreached(_top_level) == []
+    assert _unreached(_top_level, _qualified) == []
 
 
 def test_every_method_is_referenced_in_the_library():
-    assert _unreached(_methods) == []
+    assert _unreached(_methods, _names) == []

@@ -173,7 +173,7 @@ def test_huge_threshold_is_clamped():
     # den thr = 10^1300 / 9 exceeds int64: every matrix within the guard
     # passes its entries, as the exact comparison says
     inst = CountingInstance(I3, 3, 3, big_m=4, error_constant=10 ** 1300)
-    gammas = [IntegerMatrix([[5, 1, 0], [0, 7, 1], [1, 0, 9]]), IntegerMatrix.identity(3)]
+    gammas = [IntegerMatrix([[5, 1, 0], [0, 7, 1], [1, 0, 9]]), IntegerMatrix.diagonal([1] * 3)]
     assert verify_batch(inst, gammas) == [True, True]
 
 
@@ -185,7 +185,7 @@ def test_a_wrapping_product_is_refused():
     inst = CountingInstance(I3, 1, 1)
     assert not verify_membership(inst, gamma)
     assert verify_batch(inst, [gamma]) is None
-    assert verify_batch(inst, [IntegerMatrix.identity(3), gamma]) is None
+    assert verify_batch(inst, [IntegerMatrix.diagonal([1] * 3), gamma]) is None
 
 
 def test_members_at_the_int64_edge():
@@ -199,7 +199,7 @@ def test_members_at_the_int64_edge():
 
 
 def test_undecidable_instances_return_none():
-    gamma = IntegerMatrix.identity(3)
+    gamma = IntegerMatrix.diagonal([1] * 3)
     # t = 4^(2/3) is irrational
     assert verify_batch(CountingInstance(I3, 1, 2), [gamma]) is None
     # thr = 27^(1/6) is irrational
@@ -208,7 +208,7 @@ def test_undecidable_instances_return_none():
     sym = SymbolicSymMatrix([[spec.from_rational(int(i == j)) for j in range(3)]
                              for i in range(3)], spec)
     assert verify_batch(CountingInstance(sym, 3, 3), [gamma]) is None
-    assert verify_batch(CountingInstance(I3, 3, 3), [IntegerMatrix.identity(2)]) is None
+    assert verify_batch(CountingInstance(I3, 3, 3), [IntegerMatrix.diagonal([1] * 2)]) is None
     assert verify_batch(CountingInstance(I3, 3, 3), []) == []
 
 

@@ -49,7 +49,7 @@ def test_sym_coordinates_roundtrip():
 
 
 def test_zero_operator_identity():
-    op = TransferOperator(IntegerMatrix.identity(2), 1)
+    op = TransferOperator(IntegerMatrix.diagonal([1] * 2), 1)
     assert all(x.is_zero() for row in op.rows for x in row)
 
 
@@ -103,7 +103,7 @@ def test_kernel_monotone_under_more_pairs():
 def test_kernel_zero_detected():
     # two incompatible scalings annihilate everything
     ops = [
-        (IntegerMatrix.identity(2), 1, ("a",)),  # zero operator, no constraint
+        (IntegerMatrix.diagonal([1] * 2), 1, ("a",)),  # zero operator, no constraint
         (IntegerMatrix.diagonal([2, 2]), 1, ("b",)),  # Q -> 4Q - Q: only zero
     ]
     with pytest.raises(ZeroKernel):
@@ -288,7 +288,7 @@ def test_membership_against_lifted_rational_symbolic_q():
     sols = enum_S(rat_inst).matrices
     for g in sols[:8]:
         assert verify_membership(sym_inst, g)
-    bad = IntegerMatrix.identity(3)
+    bad = IntegerMatrix.diagonal([1] * 3)
     assert not verify_membership(sym_inst, bad)
 
 
