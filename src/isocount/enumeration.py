@@ -50,7 +50,6 @@ an exchange) share one pool, of at most os.cpu_count() processes.
 """
 
 import contextlib
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -605,26 +604,29 @@ def _enumerate(instances, budget, workers, prune, force_search):
     """The SolutionSet of each instance, in input order, with the matrices,
     stats, budget verdicts and first error of a serial loop at one worker.
 
-    The parent prepares the instances in input order (_prepare); the
-    tasks, one per slice of a first column, run through _outcomes.  Each
-    instance's slices are merged in input order: their node sum is held to
-    the budget and their matrices are sorted.  An instance whose
-    preparation raises ends the preparation; the instances before it still
-    run, and the first failure among them wins over its error."""
-    plans, tasks = [], []
-    failure = None
-    for inst in instances:
-        try:
-            ss, slices = _prepare(inst, budget, workers, prune, force_search)
-        except Exception as exc:
-            failure = exc
-            break
-        plans.append((ss, len(slices)))
-        tasks.extend(slices)
-    with contextlib.closing(_outcomes(tasks, workers)) as outcomes:
-        for ss, count in plans:
+    `workers` is capped at os.cpu_count().  The instances are prepared
+    (_prepare) largest a b^(n-1) first, ties in input order, each one's
+    slices going to _Tasks at once, so they run while the next is
+    prepared.  Each instance's slices are merged in input order: their
+    node sum is held to the budget and their matrices are sorted.  An
+    instance whose preparation raises ends the preparation of those after
+    it in input order; those before it still run, and the first failure
+    among them wins over its error."""
+    workers = min(workers, os.cpu_count() or 1)
+    plans, stop, failure = {}, len(instances), None
+    with _Tasks(workers) as tasks:
+        for i in sorted(range(len(instances)), key=lambda i: (-instances[i].s, i)):
+            if i > stop:
+                continue
+            try:
+                ss, slices = _prepare(instances[i], budget, workers, prune, force_search)
+            except Exception as exc:
+                stop, failure = i, exc
+                continue
+            plans[i] = ss, [tasks.submit(task) for task in slices]
+        for ss, ids in (plans[i] for i in range(stop)):
             found, bad, walked = [], [], ss.stats["nodes"]
-            for part, stats, failed in itertools.islice(outcomes, count):
+            for part, stats, failed in map(tasks.result, ids):
                 found.extend(part)
                 bad.extend(failed)
                 ss.stats["nodes"] += stats["nodes"]
@@ -644,7 +646,7 @@ def _enumerate(instances, budget, workers, prune, force_search):
             ss.stats["count"] = len(found)
     if failure is not None:
         raise failure
-    return [ss for ss, _ in plans]
+    return [plans[i][0] for i in range(len(instances))]
 
 
 def _prepare(instance, budget, workers, prune, force_search):
@@ -705,44 +707,45 @@ def _search_slice(instance, bounds, order, cands, budget, prune):
     return found, stats, [g for g in found if not verify_membership(instance, g)]
 
 
-def _outcomes(tasks, workers):
-    """The outcome of each task, in input order, read lazily.
+class _Tasks(contextlib.AbstractContextManager):
+    """The search tasks of one call, each read back by result(id) from the
+    id that submit gives.  With workers > 1 the second submission opens
+    one pool of `workers` processes, which runs the first task and every
+    later one in submission order; else each task runs here when read.
+    Leaving the block cancels the tasks not yet started and shuts the pool
+    down once the running ones end, each within its node budget."""
 
-    With workers > 1 and at least two tasks, one pool runs them, those of
-    the largest instance (by a b^(n-1)) submitted first, ties in input
-    order; else they run here, one by one.  The pool has at most one
-    process per task and per CPU, whatever `workers` asks for, since it
-    starts them all at once.  When the reader stops early (on a failure),
-    the pending tasks are cancelled, and the pool is shut down once the
-    running ones end, each within its node budget."""
-    if workers < 2 or len(tasks) < 2:
-        for task in tasks:
-            yield _search_slice(*task)
-        return
-    from concurrent.futures import ProcessPoolExecutor
+    def __init__(self, workers):
+        self.workers, self.args, self.futures, self.pool = workers, [], [], None
 
-    order = sorted(range(len(tasks)), key=lambda i: (-tasks[i][0].s, i))
-    size = min(workers, len(tasks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(size, initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
-        futures = {i: pool.submit(_search_slice, *tasks[i]) for i in order}
-        try:
-            for i in range(len(tasks)):
-                yield futures[i].result()
-        finally:
-            for fut in futures.values():
-                fut.cancel()
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+    def submit(self, task):
+        self.args.append(task)
+        if self.pool is None and self.workers > 1 and len(self.args) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            self.pool = ProcessPoolExecutor(self.workers, initializer=_exit_with_parent)
+        if self.pool is not None:
+            for args in self.args[len(self.futures):]:
+                self.futures.append(self.pool.submit(_search_slice, *args))
+        return len(self.args) - 1
+
+    def result(self, i):
+        return self.futures[i].result() if self.futures else _search_slice(*self.args[i])
 
 
-def _exit_with_parent(parent):
-    """Pool initializer: a daemon thread ends this worker once its parent
-    process is gone (its parent pid changes), so a run killed by a signal
-    leaves no worker blocked on the pool's call queue."""
+def _exit_with_parent():
+    """Pool initializer: a daemon thread ends this worker once the process
+    that started the pool is gone (its multiprocessing parent sentinel,
+    under every start method), so a run killed by a signal leaves no
+    worker blocked on the pool's call queue."""
     import threading
-    import time
+    from multiprocessing import connection, parent_process
 
     def watch():
-        while os.getppid() == parent:
-            time.sleep(0.2)
+        connection.wait([parent_process().sentinel])
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()

@@ -48,6 +48,16 @@ def pools(monkeypatch):
     return created
 
 
+@pytest.fixture
+def forked():
+    """Fork-started workers, which see this process's monkeypatches,
+    whatever the platform's default start method is."""
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(method, force=True)
+
+
 @pytest.fixture(scope="module")
 def serial_exchange():
     return exchange_step(I3, 3, 1, workers=1)
@@ -148,8 +158,15 @@ def test_a_split_instance_gives_the_outcome_of_one_worker(pools, prune):
     assert pools == [POOL, POOL]
 
 
+def test_a_lone_task_runs_in_the_parent(pools):
+    # 6 candidates a column, fewer than 4 per worker: one slice, no pool
+    inst = CountingInstance(I3, 1, 1)
+    assert enum_S(inst, workers=2).stats == enum_S(inst).stats
+    assert pools == []
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_failed_reverification_is_raised_as_a_serial_run_raises_it(monkeypatch, workers):
+def test_a_failed_reverification_is_raised_as_a_serial_run_raises_it(monkeypatch, forked, workers):
     # two planted rejections, the first and the last matrix in sorted
     # order: the first is named, and only once the budget has held
     inst = CountingInstance(I3, 3, 3)
@@ -175,17 +192,28 @@ def test_a_search_that_visits_no_node_charges_only_the_walks(workers):
 
 
 def test_pools_are_capped_at_the_cpu_count(pools, monkeypatch):
-    # a --threads far above the CPU count starts one process per CPU; no
-    # more than 2 are started here, whatever the workers asked for
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    # a --threads far above the CPU count cuts one slice and starts one
+    # process per CPU, and with one CPU everything runs here; no more
+    # than 2 processes are started, whatever the workers asked for
     instances = [CountingInstance(I3, 3, 3), CountingInstance(I3, 5, 5)]
+    inst = CountingInstance(I3, 9, 9)  # 102 candidates a column
+    serial = [enum_S(i) for i in instances + [inst]]
+    sliced, base = [], enumeration._prepare
+
+    def counted(*args):
+        ss, slices = base(*args)
+        sliced.append(len(slices))
+        return ss, slices
+
+    monkeypatch.setattr(enumeration, "_prepare", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     pooled = enum_many(instances, DEFAULT_BUDGET, 64)
-    assert [ss.matrices for ss in pooled] == [enum_S(inst).matrices for inst in instances]
+    assert [ss.matrices for ss in pooled] == [ss.matrices for ss in serial[:2]]
+    assert (sliced, pools) == ([1, 1], [])
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    inst = CountingInstance(I3, 9, 9)  # 102 candidates a column: 21 slices
     split = enum_S(inst, workers=25)
-    assert (split.matrices, split.stats) == (enum_S(inst).matrices, enum_S(inst).stats)
-    assert pools == [1, 2]
+    assert (split.matrices, split.stats) == (serial[2].matrices, serial[2].stats)
+    assert (sliced, pools) == ([1, 1, 2], [2])
 
 
 @pytest.mark.parametrize("short", [False, True])
@@ -203,12 +231,45 @@ def test_no_process_outlives_an_exchange_run(short, serial_exchange, tmp_path):
     assert multiprocessing.active_children() == []
 
 
-# starts a pool of POOL workers on long slices, prints their pids once all
-# are up, and is killed while they run
+def _python(script, *argv):
+    """A Python process running script, with this isocount importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(enumeration.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.Popen([sys.executable, "-c", script, *map(str, argv)], env=env,
+                            stdout=subprocess.PIPE, text=True)
+
+
+# runs a pool under the forkserver start method, whose workers are
+# children of the fork server, not of this process
+FORKSERVER = """
+import multiprocessing
+from isocount.enumeration import CountingInstance, enum_many
+from isocount.matrices import RationalSymMatrix
+
+multiprocessing.set_start_method("forkserver")
+i3 = RationalSymMatrix.identity(3)
+sets = enum_many([CountingInstance(i3, 3, 3), CountingInstance(i3, 5, 5)], 10 ** 8, 2)
+print(*(ss.count for ss in sets))
+"""
+
+
+def test_a_pool_runs_under_the_forkserver_start_method():
+    proc = _python(FORKSERVER)
+    out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert out.split() == [str(enum_S(CountingInstance(I3, a, a)).count) for a in (3, 5)]
+
+
+# starts a pool of POOL workers on long slices with the given start
+# method, prints their pids once all are up, and is killed while they run
 ORPHAN = """
 import multiprocessing, sys, threading, time
 from isocount.enumeration import CountingInstance, enum_many
 from isocount.matrices import RationalSymMatrix
+
+multiprocessing.set_start_method(sys.argv[2])
 
 def report():
     while len(multiprocessing.active_children()) < int(sys.argv[1]):
@@ -232,13 +293,9 @@ def _alive(pid):
         return True
 
 
-def test_workers_exit_when_their_parent_is_killed():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(enumeration.__file__))]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.Popen([sys.executable, "-c", ORPHAN, str(POOL)], env=env,
-                            stdout=subprocess.PIPE, text=True)
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_workers_exit_when_their_parent_is_killed(method):
+    proc = _python(ORPHAN, POOL, method)
     try:
         workers = [int(pid) for pid in proc.stdout.readline().split()]
     finally:
