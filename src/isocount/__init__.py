@@ -28,7 +28,6 @@ from .enumeration import (
     SolutionSet,
     SymbolicSymMatrix,
     TargetScalar,
-    count_S,
     enum_S,
     enum_norm_vectors,
     first_column_bound,
@@ -73,6 +72,7 @@ from .radicals import (
     kernel_basis_bounded,
 )
 from .recursion import (
+    EnumCache,
     PairCase,
     RecursionCertificate,
     classify_pair,
@@ -86,7 +86,6 @@ from .xchg import (
     exchange_step,
     find_q_prime,
     intersect_kernels,
-    select_generators,
 )
 
 __version__ = "0.1.0"

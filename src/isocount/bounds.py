@@ -66,7 +66,8 @@ def convexity_exponent(n):
 
 def condition_n_holds(n, d1, d2, big_m):
     sym = n * (n + 1) // 2
-    return Fraction(big_m) >= C1 * Fraction(d1) ** sym * Fraction(d2) ** (sym + 1)
+    d2 = Fraction(d2)
+    return Fraction(big_m) >= C1 * (Fraction(d1) * d2) ** sym * d2
 
 
 def condition_d_holds(n, d1, d2):
@@ -149,14 +150,18 @@ def delta_calculator(n, d1=None, d2=None, big_m=None, allow_violations=False):
             "parameter conditions violated (condition_n=%s, condition_d=%s)"
             % (cond_n, cond_d)
         )
-    e_min = (d1 * d2) ** 1 * d1 ** 1
-    e_max = (d1 * d2) ** sym * d1 ** sym
+    # each power is taken of the reduced product of its small bases, and
+    # no product below multiplies two huge fractions: their gcds would
+    # dominate the run at large n
+    e_min = d1 * d1 * d2
+    e_max = e_min ** sym
     slope_up = e_min / 2
     intercept = Fraction(1, n * (n - 1))
     slope_down = (n ** 3 + big_m / 2) * e_max
     eta = intercept / (slope_up + slope_down)
     delta_sq = eta * slope_up
-    gap = eta * slope_up - (intercept - eta * slope_down)
+    # eta * slope_down, as intercept / (1 + slope_up / slope_down)
+    gap = delta_sq - (intercept - intercept / (1 + slope_up / slope_down))
     if delta_sq <= 0:
         raise DomainError("no positive saving at these parameters")
     return DeltaResult(

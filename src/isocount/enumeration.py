@@ -578,12 +578,6 @@ def enum_S(instance, budget=DEFAULT_BUDGET, prune=True, workers=1, force_search=
     return _enumerate([instance], budget, workers, prune, force_search)[0]
 
 
-def count_S(instance, **kwargs):
-    """|S(Q, a, b, M)|: the count of enum_S's solution set, which is built
-    and verified in full."""
-    return enum_S(instance, **kwargs).count
-
-
 def enum_many(instances, budget, workers):
     """The SolutionSet of each instance, in input order, as a serial loop
     of enum_S gives it, with the slices of all of them over one pool."""

@@ -54,26 +54,39 @@ def iv_pow_fraction(x, e):
     return iv.exp(iv.log(iv_fraction(x)) * iv.mpf(e.numerator) / iv.mpf(e.denominator))
 
 
+def refine(attempt, what):
+    """The first answer of attempt() that is not None, at working precision
+    START_PREC bits, doubling up to PREC_CAP; PrecisionExhausted, naming
+    what stayed undecided, past the cap."""
+    prec = START_PREC
+    while prec <= PREC_CAP:
+        with precision(prec):
+            answer = attempt()
+        if answer is not None:
+            return answer
+        prec *= 2
+    raise PrecisionExhausted("%s undecided at %d bits" % (what, PREC_CAP))
+
+
 def certified_sign(make_interval, is_zero):
     """Sign of a real given an interval builder and an exact zero test.
 
     Returns 0 when is_zero() is true, without touching intervals.  Else
-    make_interval(prec) must return an interval containing the value at
-    working precision prec, tried from START_PREC bits, doubling up to
-    PREC_CAP, until it excludes 0.
+    make_interval() must return an interval containing the value at the
+    working precision, which refine raises until it excludes 0.
     """
     if is_zero():
         return 0
-    prec = START_PREC
-    while prec <= PREC_CAP:
-        with precision(prec):
-            x = make_interval(prec)
+
+    def attempt():
+        x = make_interval()
         if x.a > 0:
             return 1
         if x.b < 0:
             return -1
-        prec *= 2
-    raise PrecisionExhausted("sign undecided at %d bits" % PREC_CAP)
+        return None
+
+    return refine(attempt, "sign")
 
 
 def _acos_bracket(v):

@@ -20,15 +20,15 @@ from mpmath import iv
 from mpmath.libmp import round_floor, to_int
 
 from .arith import MAX_POWER_BITS, factorize, factorize_fraction
-from .errors import DomainError, PrecisionExhausted, ResourceBudgetError, ZeroKernel
+from .errors import DomainError, ResourceBudgetError, ZeroKernel
 from .intervals import (
-    PREC_CAP,
     START_PREC,
     certified_sign,
     iv_fraction,
     iv_nth_root,
     iv_pow_fraction,
     precision,
+    refine,
 )
 from .matrices import Echelon, solve
 
@@ -50,7 +50,7 @@ class RadicalFieldSpec:
 
     __slots__ = ("degree", "radicands", "primes", "_root_cache")
 
-    def __init__(self, degree, radicands=()):
+    def __init__(self, degree, radicands):
         degree = int(degree)
         if degree < 1:
             raise DomainError("degree must be >= 1")
@@ -378,7 +378,7 @@ class FieldElement:
         if self.is_rational():
             v = self.rational_value()
             return (v > 0) - (v < 0)
-        return certified_sign(lambda _p: self.real_interval(), is_zero=self.is_zero)
+        return certified_sign(self.real_interval, is_zero=self.is_zero)
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -394,20 +394,19 @@ class FieldElement:
 
     def floor(self):
         """The integer floor, exact: a rational element floors its
-        Fraction; otherwise the real interval is refined, doubling the
-        precision up to PREC_CAP, until it spans at most two integer
-        floors, and one certified sign then picks between them."""
+        Fraction; otherwise the real interval is refined until it spans
+        at most two integer floors, and one certified sign then picks
+        between them."""
         if self.is_rational():
             return math.floor(self.rational_value())
-        prec = START_PREC
-        while prec <= PREC_CAP:
-            with precision(prec):
-                ends = self.real_interval()._mpi_
-            lo, hi = (to_int(e, round_floor) for e in ends)
+
+        def attempt():
+            lo, hi = (to_int(e, round_floor) for e in self.real_interval()._mpi_)
             if hi - lo <= 1:
                 return hi if lo == hi or (self - hi).sign() >= 0 else lo
-            prec *= 2
-        raise PrecisionExhausted("floor undecided at %d bits" % PREC_CAP)
+            return None
+
+        return refine(attempt, "floor")
 
     def abs_le(self, bound):
         """|self| <= bound, all exact/certified."""
@@ -553,30 +552,27 @@ def is_well_balanced(x, alpha, bound):
 
 
 def _moduli_within(el, alpha, bound):
-    prec = START_PREC
-    while prec <= PREC_CAP:
-        with precision(prec):
-            lo_b = iv_pow_fraction(bound, -alpha)
-            hi_b = iv_pow_fraction(bound, alpha)
-            mods = el.conjugate_moduli_intervals()
-            recorded = [(float(m.a), float(m.b)) for m in mods]
-            verdict = True
-            undecided = False
-            for m in mods:
-                if m.a > hi_b.b or m.b < lo_b.a:
-                    verdict = False
-                    undecided = False
-                    break
-                if m.b <= hi_b.a and m.a >= lo_b.b:
-                    continue
-                undecided = True
-            if not undecided:
-                return recorded, verdict
+    def attempt():
+        lo_b = iv_pow_fraction(bound, -alpha)
+        hi_b = iv_pow_fraction(bound, alpha)
+        mods = el.conjugate_moduli_intervals()
+        recorded = [(float(m.a), float(m.b)) for m in mods]
+        verdict = True
+        undecided = False
+        for m in mods:
+            if m.a > hi_b.b or m.b < lo_b.a:
+                verdict = False
+                undecided = False
+                break
+            if m.b <= hi_b.a and m.a >= lo_b.b:
+                continue
+            undecided = True
+        if not undecided:
+            return recorded, verdict
         exact = _moduli_within_exact(el, alpha, bound)
-        if exact is not None:
-            return recorded, exact
-        prec *= 2
-    raise PrecisionExhausted("well-balanced bounds undecided at %d bits" % PREC_CAP)
+        return None if exact is None else (recorded, exact)
+
+    return refine(attempt, "well-balanced bounds")
 
 
 def _moduli_within_exact(el, alpha, bound):
@@ -612,16 +608,14 @@ def vec_dot(u, v):
     return acc
 
 
-def gram_schmidt(vectors, spec=None):
-    """Orthogonalize K-linearly independent vectors, exactly.
+def gram_schmidt(vectors, spec):
+    """Orthogonalize K-linearly independent vectors of spec, exactly.
 
     u'_j = u_j - sum_{i<j} u'_i <u_j, u'_i> / ||u'_i||^2; raises DomainError
     if some u'_j vanishes (dependent input).
     """
     if not vectors:
         return []
-    if spec is None:
-        spec = _find_spec(vectors)
     vs = coerce_vectors(spec, vectors)
     out = []
     for u in vs:
@@ -655,20 +649,20 @@ class DistanceResult:
     prec: int
 
 
-def distance_to_subspace(v, generators, spec=None):
+def distance_to_subspace(v, generators):
     """Certified distance from v to H = intersection of generator kernels.
 
-    Returns the exact squared distance (a field element) together with
-    certified intervals for the distance and for max_j |<b_j, v>|.
-    Dependent generator rows are fine; a maximal independent subset is used.
+    Returns the exact squared distance (a field element of the field of the
+    entries) together with certified intervals for the distance and for
+    max_j |<b_j, v>|.  Dependent generator rows are fine; a maximal
+    independent subset is used.
     """
-    if spec is None:
-        spec = _find_spec(list(generators) + [v])
+    spec = _find_spec(list(generators) + [v])
     gens = coerce_vectors(spec, generators)
     vv = coerce_vectors(spec, [v])[0]
     ech = Echelon()
     keep = [g for g in gens if ech.add(g)]
-    basis = gram_schmidt(keep, spec=spec)
+    basis = gram_schmidt(keep, spec)
     dist_sq = spec.zero()
     for w in basis:
         c = vec_dot(vv, w)
@@ -689,7 +683,7 @@ def distance_to_subspace(v, generators, spec=None):
     )
 
 
-def kernel_basis_bounded(rows, spec=None):
+def kernel_basis_bounded(rows, spec):
     """Basis of H = {y : <b_j, y> = 0 for all j} with integral entries.
 
     Pivot columns are the lexicographically first independent set (the
@@ -699,8 +693,6 @@ def kernel_basis_bounded(rows, spec=None):
     """
     if not rows:
         raise DomainError("kernel_basis_bounded needs the ambient dimension from rows")
-    if spec is None:
-        spec = _find_spec(rows)
     ech = Echelon()
     for row in coerce_vectors(spec, rows):
         ech.add(row)

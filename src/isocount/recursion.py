@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import xchg
 from .bounds import EPS, ENVELOPE_CONSTANT, condition_d_holds, condition_n_holds
 from .enumeration import (
     DEFAULT_BUDGET,
@@ -29,7 +30,6 @@ from .matrices import Region
 from .primes import good_prime_set, residue_system
 from .serialize import dumps, fraction_to_str
 from .xchg import (
-    DEFAULT_PAIR_BUDGET,
     default_pairs,
     find_q_prime,
     intersect_kernels,
@@ -85,15 +85,19 @@ class ChainResult:
         return [lv.dim for lv in self.levels]
 
 
-class _EnumCache:
-    """Per-driver cache of solution sets keyed by (a, b); Q and M fixed.
+class EnumCache:
+    """Per-driver cache of solution sets keyed by (a, b), for the form q
+    and the bound big_m (None for M = infinity); it also configures the
+    chains, which read q, big_m, the node budget and the worker count
+    from it.
 
     get enumerates one miss through enum_S; fill enumerates the misses of
-    a key list through enum_many, as a chain level does.  Either way the
-    first column of each miss is cut into slices that share one pool of
-    the workers, with the outcome of one worker."""
+    a key list through enum_many, as a chain level does.  Either way each
+    miss runs under `budget` nodes and the first column of each miss is
+    cut into slices that share one pool of `workers` processes, with the
+    outcome of one worker."""
 
-    def __init__(self, q, big_m, budget, workers=1):
+    def __init__(self, q, big_m, budget, workers):
         self.q = q
         self.big_m = big_m
         self.budget = budget
@@ -127,18 +131,20 @@ def _level_subspace(cache, pairs, n):
     return intersect_kernels(contributions, n)
 
 
-def _stabilize(name, q, cache, pair_budget, level_pairs, rational_only=False):
+def _stabilize(name, cache, level_pairs, rational_only=False):
     """Levels j = 0, 1, ... until the kernel intersection stops shrinking.
 
     level_pairs(j, levels) gives the window and the pair set of level j
-    from the levels built so far; each level's replacement matrix lies in
-    Region.reference_box(q).  The dimension sequence must be weakly
-    decreasing, the containment at the stabilization step is verified
-    exactly, and the level count is bounded by the symmetric dimension plus
-    one.
+    from the levels built so far, at most xchg.DEFAULT_PAIR_BUDGET pairs;
+    each level's replacement matrix lies in Region.reference_box(cache.q).
+    The dimension sequence must be weakly decreasing, the containment at
+    the stabilization step is verified exactly, and the level count is
+    bounded by the symmetric dimension plus one.
     """
+    q = cache.q
     n = q.n
     region = Region.reference_box(q)
+    pair_budget = xchg.DEFAULT_PAIR_BUDGET
     levels = []
     for j in range(n * (n + 1) // 2 + 1):
         window, pairs = level_pairs(j, levels)
@@ -172,54 +178,34 @@ def _stabilize(name, q, cache, pair_budget, level_pairs, rational_only=False):
     raise DomainError("%s chain failed to stabilize before the pigeonhole bound" % name)
 
 
-def outer_chain(
-    q,
-    l_param,
-    d1,
-    d2,
-    big_m=None,
-    nu_values=None,
-    budget=DEFAULT_BUDGET,
-    workers=1,
-    cache=None,
-    pair_budget=DEFAULT_PAIR_BUDGET,
-):
+def outer_chain(cache, l_param, d1, d2, nu_values):
     """Chain of kernel intersections over the growing intervals
-    [L, 2 L^(D1^j D2^(j+1))]; stops at the first level whose subspace
-    equals the previous one."""
-    n = q.n
-    cache = cache or _EnumCache(q, big_m, budget, workers)
+    [L, 2 L^(D1^j D2^(j+1))] for the form, M, node budget and workers of
+    cache; stops at the first level whose subspace equals the previous
+    one."""
+    n = cache.q.n
     d1, d2 = Fraction(d1), Fraction(d2)
 
     def level_pairs(j, levels):
         window = interval_of(l_param, d1 ** j * d2 ** (j + 1))
-        return window, default_pairs(*window, n, nu_values, pair_budget)
+        return window, default_pairs(*window, n, nu_values)
 
-    return _stabilize("outer", q, cache, pair_budget, level_pairs)
+    return _stabilize("outer", cache, level_pairs)
 
 
-def inner_chain(
-    q,
-    l_cal,
-    d1,
-    nu_values=None,
-    budget=DEFAULT_BUDGET,
-    workers=1,
-    big_m=None,
-    cache=None,
-    pair_budget=DEFAULT_PAIR_BUDGET,
-):
-    """The rational-field chain inside the stabilized scale.
+def inner_chain(cache, l_cal, d1, nu_values):
+    """The rational-field chain inside the stabilized scale, for the form,
+    M, node budget and workers of cache.
 
     Level j uses the pairs accumulated so far: integral-target pairs from
     the starting window plus, for each later level, integral-target pairs
     of the dyadic window whose primes are good for the previous level's
     replacement matrix.  All replacement matrices here are rational.
     """
-    n = q.n
-    cache = cache or _EnumCache(q, big_m, budget, workers)
+    n = cache.q.n
     d1 = Fraction(d1)
     nus = nu_range(nu_values, n)
+    pair_budget = xchg.DEFAULT_PAIR_BUDGET
     filter_history = []
 
     def level_pairs(j, levels):
@@ -256,7 +242,7 @@ def inner_chain(
         pool = set(levels[-1].pairs) if levels else set()
         return window, sorted(pool | set(fresh))
 
-    chain = _stabilize("inner", q, cache, pair_budget, level_pairs, rational_only=True)
+    chain = _stabilize("inner", cache, level_pairs, rational_only=True)
     return chain, filter_history
 
 
@@ -395,8 +381,10 @@ def proposition_driver(
 ):
     """Run both chains and verify the per-pair bounds in the final window.
 
-    Both chains work in Region.reference_box(q) with the default pair
-    budget; the final window's primes are the good primes of Q*, and the
+    The nu values are checked and freed of repeats (xchg.nu_range) before
+    anything is enumerated.  Both chains share one EnumCache and work in
+    Region.reference_box(q) under xchg.DEFAULT_PAIR_BUDGET; the final
+    window's primes are the good primes of Q*, and the
     first pair_cap pairs of them are verified, the replacement instances
     under a node budget of STAR_BUDGET.  Desk-scale parameters may violate
     the largeness conditions; violations are flagged in the certificate,
@@ -408,18 +396,13 @@ def proposition_driver(
     if dd.denominator != 1:
         # L^((D1 D2)^(i+1)) is then no rational number for any level i
         raise DomainError("D1*D2 = %s must be an integer" % dd)
-    cache = _EnumCache(q, big_m, budget, workers)
+    nus = nu_range(nu_values, n)
+    cache = EnumCache(q, big_m, budget, workers)
 
-    outer = outer_chain(
-        q, l_param, d1, d2, big_m=big_m,
-        nu_values=nu_values, budget=budget, workers=workers, cache=cache,
-    )
+    outer = outer_chain(cache, l_param, d1, d2, nus)
     i = outer.stabilization
     l_cal = Fraction(l_param) ** (dd.numerator ** (i + 1))
-    inner, filter_history = inner_chain(
-        q, l_cal, d1, nu_values=nu_values,
-        budget=budget, workers=workers, big_m=big_m, cache=cache,
-    )
+    inner, filter_history = inner_chain(cache, l_cal, d1, nus)
     k = inner.stabilization
     q_star = inner.levels[k].q_matrix.as_rational_matrix()
     minors = q_star.minor_set()
@@ -428,8 +411,7 @@ def proposition_driver(
     wlo, whi = _tilde_window(l_cal, Fraction(d1), k + 1)
     prime_set = tuple(good_prime_set(system, wlo, whi))
 
-    nus = nu_range(nu_values, n)
-    star_cache = _EnumCache(q_star, None, STAR_BUDGET, workers)
+    star_cache = EnumCache(q_star, None, STAR_BUDGET, workers)
     verdicts = []
     pairs_examined = 0
     for p in prime_set:

@@ -52,7 +52,6 @@ from .radicals import (
     coerce_vectors,
     echelon_kernel_basis,
     gram_schmidt,
-    kernel_basis_bounded,
     vec_dot,
 )
 from .arith import interval_of, iroot, primes_in_range
@@ -160,10 +159,10 @@ class _GreedySelection:
     vector, so only an independent row reaches the elimination.  The kernel
     starts as the unit vectors and is rebuilt after each kept row (at most
     n(n+1)/2 times); its entries are plain ints while every kept row is
-    rational and elements of the rows' field after that.
+    rational and elements of spec, the rows' field, after that.
     """
 
-    def __init__(self, n, spec=None):
+    def __init__(self, n, spec):
         self.n = n
         self.sym_dim = n * (n + 1) // 2
         self.spec = spec
@@ -190,11 +189,10 @@ class _GreedySelection:
         if self.full:
             self.kernel = []
             return
-        irrational = [x for x in row if isinstance(x, FieldElement) and not x.is_rational()]
-        if irrational and self.int_kernel:
+        if self.int_kernel and any(
+            isinstance(x, FieldElement) and not x.is_rational() for x in row
+        ):
             self.int_kernel = False
-            if self.spec is None:
-                self.spec = irrational[0].spec
         if self.int_kernel:
             basis = echelon_kernel_basis(self.ech, self.sym_dim, RATIONALS)
             self.kernel = [tuple(x.rational_value().numerator for x in k) for k in basis]
@@ -236,44 +234,28 @@ class _GreedySelection:
         return start + int(hits[0]) if len(hits) else len(arr)
 
 
-def select_generators(rows_with_labels, n):
-    """Greedy minimal independent row set, in the order given.
-
-    rows_with_labels: iterable of (row, label) with exact entries (ints,
-    Fractions or field elements); returns (selected rows, labels).  A row is
-    kept exactly when it is independent of the rows kept before it, which
-    is decided by the kernel-side test of _GreedySelection: a row that
-    annihilates an integral basis of the kept rows' kernel is skipped
-    without elimination.  The greedy scan order (pairs sorted, matrices in
-    lexicographic order, row index) makes the selection deterministic.
-    """
-    sel = _GreedySelection(n)
-    for row, label in rows_with_labels:
-        sel.offer(row, label)
-        if sel.full:
-            break
-    return sel.rows, sel.labels
-
-
 def intersect_kernels(contributions, n):
     """Kernel intersection of the operators attached to (gamma, m) pairs.
 
     contributions: iterable of (gamma, m, label); empty input returns the
     full symmetric space.  Operators are stacked row by row and a minimal
-    generating set is kept by the greedy scan of select_generators, run on
-    one block of consecutive contributions with one m at a time so that the
-    kernel-side test is batched on numpy wherever it provably fits in
-    int64; the kernel basis is integral and each basis vector is
-    re-verified against every selected generator.  The field adjoins to Q
-    every irrational scale m^(1/n); rows stay ints wherever the scale is
-    rational, so the elimination runs on plain rationals until an
-    irrational scale enters.
+    generating set is kept by the greedy scan of _GreedySelection, in the
+    order given (pairs sorted, matrices in lexicographic order, row index):
+    a row is kept exactly when it is independent of the rows kept before
+    it.  The scan runs on one block of consecutive contributions with one
+    m at a time, so that its kernel-side test is batched on numpy wherever
+    it provably fits in int64.  The subspace basis is the scan's own
+    integral kernel basis K of the kept rows, coerced into the field, and
+    each basis vector is re-verified against every selected generator.
+    The field adjoins to Q the irrational scales m^(1/n) of the distinct
+    m; rows stay ints wherever the scale is rational, so the elimination
+    runs on plain rationals until an irrational scale enters.
     """
     contributions = list(contributions)
     if not contributions:
         return full_sym_subspace(n)
-    spec = RadicalFieldSpec(n, [m for _, m, _ in contributions
-                                if not scalar_root_is_rational(m, n)])
+    scales = dict.fromkeys(m for _, m, _ in contributions)
+    spec = RadicalFieldSpec(n, [m for m in scales if not scalar_root_is_rational(m, n)])
 
     sel = _GreedySelection(n, spec)
     for m, block in itertools.groupby(contributions, key=lambda c: c[1]):
@@ -281,25 +263,22 @@ def intersect_kernels(contributions, n):
         s = _scale_root(m, n, spec)
         for lo in range(0, len(block), BATCH):
             sel.offer_chunk(block[lo:lo + BATCH], s)
-    selected, labels = sel.rows, sel.labels
-    selected = coerce_vectors(spec, selected)
-    if not selected:
+    if not sel.rows:
         return full_sym_subspace(n)
-    sym_dim = n * (n + 1) // 2
-    if len(selected) == sym_dim:
+    if sel.full:
         raise ZeroKernel("kernel intersection is the zero subspace")
-    basis = kernel_basis_bounded([list(r) for r in selected], spec=spec)
+    selected = coerce_vectors(spec, sel.rows)
     sub = SymSubspace(
         n=n,
         spec=spec,
         generator_rows=tuple(selected),
-        provenance=tuple(labels),
-        basis=tuple(basis),
+        provenance=tuple(sel.labels),
+        basis=tuple(coerce_vectors(spec, sel.kernel)),
     )
     for v in sub.basis:
         if not sub.annihilates(v):
             raise InternalConsistencyError("kernel basis vector not annihilated")
-    if sub.dim + len(selected) != sym_dim:
+    if sub.dim + len(selected) != sub.sym_dim:
         raise InternalConsistencyError("rank-nullity mismatch in kernel intersection")
     return sub
 
@@ -384,7 +363,7 @@ def find_q_prime(subspace, region, reference_q):
             % DEN_BOUND_LOG2
         )
     # irrational field: exact projection
-    ortho = gram_schmidt(basis, spec=spec)
+    ortho = gram_schmidt(basis, spec)
     proj = [spec.zero()] * len(ref_vec)
     refv = [spec.from_rational(x) for x in ref_vec]
     for w in ortho:
@@ -468,19 +447,27 @@ DEFAULT_PAIR_BUDGET = 20000
 
 
 def nu_range(nu_values, n):
-    """The nu values asked for, or 1..n when none are."""
-    return list(nu_values) if nu_values else list(range(1, n + 1))
+    """The nu values asked for, repeats dropped in first-occurrence order,
+    or 1..n when none are; DomainError for a nu outside 1..n."""
+    if not nu_values:
+        return list(range(1, n + 1))
+    for nu in nu_values:
+        if not 1 <= nu <= n:
+            raise DomainError("a nu value needs 1 <= nu <= %d, got %r" % (n, nu))
+    return list(dict.fromkeys(nu_values))
 
 
-def default_pairs(low, high, n, nu_values=None, pair_budget=DEFAULT_PAIR_BUDGET):
+def default_pairs(low, high, n, nu_values):
     """All ordered prime pairs from [low, high] with the given nu range;
     ResourceBudgetError before the list is built if it would hold more
-    than pair_budget pairs."""
+    than DEFAULT_PAIR_BUDGET pairs."""
     primes = primes_in_range(low, high)
     nus = nu_range(nu_values, n)
     size = len(primes) ** 2 * len(nus)
-    if size > pair_budget:
-        raise ResourceBudgetError("%d pairs exceed the budget of %d" % (size, pair_budget))
+    if size > DEFAULT_PAIR_BUDGET:
+        raise ResourceBudgetError(
+            "%d pairs exceed the budget of %d" % (size, DEFAULT_PAIR_BUDGET)
+        )
     return [(p, q, nu) for p in primes for q in primes for nu in nus]
 
 

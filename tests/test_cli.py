@@ -542,6 +542,40 @@ def test_chain_cli(tmp_path, capsys):
     assert payload["prime_set"] == [3]
 
 
+@pytest.fixture
+def identity2_file(tmp_path):
+    path = tmp_path / "q2.json"
+    path.write_text(dumps({"schema": 1, "n": 2, "entries": [["1", "0"], ["0", "1"]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, nu", [("exchange", "0"), ("chain", "5"), ("chain", "0,5")])
+def test_a_nu_outside_1_to_n_exits_1_before_any_enumeration(
+        command, nu, identity2_file, capsys, monkeypatch):
+    # exchange --nu 0 reported the pairs (3, 3, 0) ... (5, 5, 0), and chain
+    # refused nu = 5 only after both chains had run
+    import isocount.enumeration as enumeration
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(enumeration, "_enumerate", must_not_run)
+    rc, out, err = run_cli(
+        [command, "--q", identity2_file, "--L", "3", "--nu", nu, "--threads", "1"], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "1 <= nu <= 2" in err
+
+
+def test_a_repeated_nu_is_taken_once(identity2_file, capsys):
+    # chain --nu 1,1 emitted the verdict (3, 3, 1) twice, charging each
+    # copy to the pair cap
+    args = ["chain", "--q", identity2_file, "--L", "3", "--pair-cap", "4", "--threads", "1"]
+    rc, once, _ = run_cli(args + ["--nu", "1"], capsys)
+    assert rc == 0
+    rc, twice, _ = run_cli(args + ["--nu", "1,1"], capsys)
+    assert rc == 0 and twice == once
+
+
 def test_verify_cli(capsys):
     rc, out, err = run_cli(["verify", "--module", "bounds", "--seed", "1"], capsys)
     assert rc == 0

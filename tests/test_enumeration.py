@@ -14,7 +14,6 @@ from isocount.enumeration import (
     _entry_test,
     _new_stats,
     _SearchContext,
-    count_S,
     enum_S,
     enum_norm_vectors,
     first_column_bound,
@@ -132,8 +131,8 @@ def test_enum_S_signed_permutations():
 
 def test_enum_S_distinct_primes_n2_empty():
     # n = 2 forces Delta_2 = |det| = q p != p
-    assert count_S(CountingInstance(I2, 3, 5)) == 0
-    assert count_S(CountingInstance(I2, 7, 5)) == 0
+    assert enum_S(CountingInstance(I2, 3, 5)).count == 0
+    assert enum_S(CountingInstance(I2, 7, 5)).count == 0
 
 
 def test_enum_S_irrational_short_circuit():

@@ -25,7 +25,7 @@ from isocount.cli import main
 from isocount.enumeration import DEFAULT_BUDGET, CountingInstance, enum_many, enum_S
 from isocount.errors import InternalConsistencyError, ResourceBudgetError
 from isocount.matrices import RationalSymMatrix
-from isocount.recursion import outer_chain
+from isocount.recursion import EnumCache, outer_chain
 from isocount.xchg import exchange_step
 
 I3 = RationalSymMatrix.identity(3)
@@ -72,10 +72,11 @@ def test_exchange_runs_one_pool(pools, serial_exchange):
 
 
 def test_chain_runs_at_most_one_pool_per_level(pools):
-    chain = outer_chain(I3, 3, 1, 1, workers=2)
+    chain = outer_chain(EnumCache(I3, None, DEFAULT_BUDGET, 2), 3, 1, 1, None)
     assert 1 <= len(pools) <= len(chain.levels)
     assert set(pools) == {POOL}
-    assert chain.dims() == outer_chain(I3, 3, 1, 1, workers=1).dims()
+    serial = outer_chain(EnumCache(I3, None, DEFAULT_BUDGET, 1), 3, 1, 1, None)
+    assert chain.dims() == serial.dims()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -211,12 +211,12 @@ def test_gram_schmidt_dependent_detected():
 
 
 def test_distance_examples():
-    res = distance_to_subspace((1, 0), [(1, -1)], spec=Q)
+    res = distance_to_subspace((1, 0), [(1, -1)])
     import math
 
     assert abs(res.distance[0] - 1 / math.sqrt(2)) < 1e-15
     assert res.distance[0] <= 1 / math.sqrt(2) <= res.distance[1]
-    res0 = distance_to_subspace((1, 1), [(1, -1)], spec=Q)
+    res0 = distance_to_subspace((1, 1), [(1, -1)])
     assert res0.distance_sq.is_zero()
     assert res0.distance == (0.0, 0.0)
 
@@ -228,7 +228,7 @@ def test_distance_envelope_against_pairings():
         g = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))]
         if all(x == 0 for x in g[0]):
             continue
-        res = distance_to_subspace(v, g, spec=Q)
+        res = distance_to_subspace(v, g)
         # dist(v, H) <= C * max_j |<b_j, v>| with C = 1/|b| >= fitted floor
         norm_b = float(sum(x * x for x in g[0])) ** 0.5
         assert res.distance[1] <= (res.max_pairing[1] / norm_b) + 1e-9

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from isocount import xchg
 from isocount.arith import interval_of
+from isocount.enumeration import DEFAULT_BUDGET
 from isocount.errors import DomainError
 from isocount.matrices import RationalSymMatrix
 from isocount.errors import ResourceBudgetError
 from isocount.recursion import (
+    EnumCache,
     PairCase,
     classify_pair,
     inner_chain,
@@ -16,6 +19,12 @@ from isocount.recursion import (
 
 I2 = RationalSymMatrix.identity(2)
 I3 = RationalSymMatrix.identity(3)
+
+
+def cache(q):
+    """The cache of a driver on q at M = infinity, the default node budget
+    and one worker."""
+    return EnumCache(q, None, DEFAULT_BUDGET, 1)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +51,7 @@ def test_interval_math():
 
 
 def test_outer_chain_n2_trivial():
-    out = outer_chain(I2, 3, 1, 1)
+    out = outer_chain(cache(I2), 3, 1, 1, None)
     assert out.stabilization == 0
     assert out.dims() == [3, 3]
     # all solution sets are empty at n = 2, so the space never shrinks
@@ -50,7 +59,7 @@ def test_outer_chain_n2_trivial():
 
 
 def test_outer_chain_n3():
-    out = outer_chain(I3, 3, 1, 1, nu_values=[1, 2])
+    out = outer_chain(cache(I3), 3, 1, 1, [1, 2])
     assert out.stabilization == 0
     dims = out.dims()
     assert all(a >= b for a, b in zip(dims, dims[1:]))
@@ -59,7 +68,7 @@ def test_outer_chain_n3():
 
 
 def test_inner_chain_rational_fields():
-    chain, history = inner_chain(I3, 3, 1, nu_values=[1, 2])
+    chain, history = inner_chain(cache(I3), 3, 1, [1, 2])
     assert chain.stabilization < 6
     for lv in chain.levels:
         assert lv.field_rational
@@ -112,9 +121,10 @@ def test_chain_dimensions_weakly_decreasing(cert_n3):
         assert len(dims) <= 7
 
 
-def test_pair_budget_guard():
+def test_pair_budget_guard(monkeypatch):
+    monkeypatch.setattr(xchg, "DEFAULT_PAIR_BUDGET", 10)
     with pytest.raises(ResourceBudgetError):
-        outer_chain(I2, 3, 2, 4, pair_budget=10)
+        outer_chain(cache(I2), 3, 2, 4, None)
 
 
 def test_fractional_d1_d2_product_is_refused_before_the_chain(monkeypatch):
@@ -147,6 +157,7 @@ def test_inner_chain_refuses_a_wide_window_before_listing_its_pairs(monkeypatch)
 
     real = recursion.primes_in_range
     monkeypatch.setattr(recursion, "primes_in_range", lambda lo, hi: CountingPrimes(real(lo, hi)))
+    monkeypatch.setattr(xchg, "DEFAULT_PAIR_BUDGET", 10)
     with pytest.raises(ResourceBudgetError, match="more than its budget of 10 pairs"):
-        inner_chain(I3, Fraction(1000), 1, pair_budget=10)
+        inner_chain(cache(I3), Fraction(1000), 1, None)
     assert len(visits) <= 11

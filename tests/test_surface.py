@@ -1,5 +1,5 @@
 """Every top-level function and class of the library, and every method,
-has a caller in the library itself.
+has a caller in the library itself, and every option is set by one.
 
 A top-level name counts as referenced when, outside its own definition,
 `src/isocount` names it bare in its own module, imports it from its
@@ -12,6 +12,12 @@ function or method that only its unit tests reach fails here.  Special methods
 exemptions are the `_check_*` functions of `verify` (looked up by name),
 the documented entry points below that nothing in the library calls, and
 the methods below that a caller outside the library's own code calls.
+
+The same holds for options: every defaulted parameter of a function,
+method or dataclass is passed, by keyword or by position, at some call
+site of the library outside its own body, so that no option serves only
+the tests.  `cli.main`'s `argv` (the console-script entry passes none) and
+the options the acceptance tests set are exempt.
 """
 
 import ast
@@ -20,9 +26,11 @@ import os
 import isocount
 
 SRC = os.path.dirname(os.path.abspath(isocount.__file__))
-# called by the acceptance tests; count_S and select_generators are
-# documented entry points
-ENTRY_POINTS = {"first_column_bound", "distance_to_subspace", "count_S", "select_generators"}
+# called by the acceptance tests
+ENTRY_POINTS = {"first_column_bound", "distance_to_subspace"}
+# set by the acceptance tests, or by the console script (argv)
+ENTRY_OPTIONS = {"cli.main.argv", "xchg.exchange_step.region",
+                 "primes.linnik_report.floor_x", "primes.linnik_report.constant"}
 # argparse calls _Parser.error; holds_exactly is the test of the result of
 # the entry point first_column_bound
 ENTRY_METHODS = {"_Parser.error", "FirstColumnBound.holds_exactly"}
@@ -119,3 +127,74 @@ def test_every_top_level_definition_is_referenced_in_the_library():
 
 def test_every_method_is_referenced_in_the_library():
     assert _unreached(_methods, _names) == []
+
+
+def _options(mod, tree):
+    """(qualified name, key, position, node) of every defaulted parameter:
+    key is the name a call site uses (the function's, the method's, or the
+    class's for __init__ and dataclass fields), position the index of the
+    parameter among the call's positional arguments (None when it is
+    keyword-only)."""
+    for owner in [tree] + [c for c in tree.body if isinstance(c, ast.ClassDef)]:
+        is_class = isinstance(owner, ast.ClassDef)
+        if is_class and any("dataclass" in ast.unparse(d) for d in owner.decorator_list):
+            fields = [st for st in owner.body if isinstance(st, ast.AnnAssign)]
+            for i, st in enumerate(fields):
+                if st.value is not None:
+                    yield ("%s.%s.%s" % (mod, owner.name, st.target.id),
+                           owner.name, i, owner)
+        for node in owner.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if is_class else 0  # self or cls
+            key = owner.name if node.name == "__init__" else node.name
+            qual = "%s.%s%s" % (mod, owner.name + "." if is_class else "", node.name)
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield "%s.%s" % (qual, arg.arg), key, i - skip, node
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield "%s.%s" % (qual, arg.arg), key, None, node
+
+
+def _calls(tree):
+    """(callee name, call) of every call, the callee read off a bare name
+    or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node
+
+
+def _passes(call, name, position):
+    """The call passes the parameter by keyword, or by position among its
+    arguments before any *-unpacking."""
+    if any(kw.arg == name for kw in call.keywords):
+        return True
+    plain = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                 len(call.args))
+    return position is not None and plain > position
+
+
+def test_every_option_is_set_by_a_library_call():
+    trees = list(_modules())
+    unset = []
+    for mod, tree in trees:
+        for qual, key, position, node in _options(mod, tree):
+            if qual in ENTRY_OPTIONS:
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            name = qual.rsplit(".", 1)[1]
+            if not any(
+                callee == key and not (other == mod and call.lineno in own)
+                and _passes(call, name, position)
+                for other, found in trees
+                for callee, call in _calls(found)
+            ):
+                unset.append(qual)
+    assert unset == []

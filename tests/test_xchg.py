@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isocount.arith import iroot
-from isocount.enumeration import CountingInstance, count_S
+from isocount.enumeration import CountingInstance, enum_S
 from isocount import xchg
 from isocount.errors import (
     DomainError,
@@ -17,7 +17,7 @@ from isocount.errors import (
 )
 from isocount.arith import interval_of
 from isocount.matrices import Echelon, IntegerMatrix, RationalSymMatrix, Region
-from isocount.radicals import RadicalFieldSpec, vec_dot
+from isocount.radicals import RadicalFieldSpec, coerce_vectors, kernel_basis_bounded, vec_dot
 from isocount.xchg import (
     default_pairs,
     exchange_step,
@@ -26,7 +26,6 @@ from isocount.xchg import (
     full_sym_subspace,
     intersect_kernels,
     pair_scalar_m,
-    select_generators,
     sym_to_vec,
     vec_to_sym,
 )
@@ -197,7 +196,7 @@ def test_exchange_containment_verified_n3():
     # every enumerated matrix is exactly isometric for the replacement
     qp = rep.q_prime.as_rational_matrix()
     inst = CountingInstance(qp, 125, 125, big_m=None)
-    assert count_S(inst) >= counts[(5, 5, 3)]
+    assert enum_S(inst).count >= counts[(5, 5, 3)]
 
 
 def test_exchange_report_json_deterministic():
@@ -207,7 +206,7 @@ def test_exchange_report_json_deterministic():
 
 
 def test_default_pairs():
-    pairs = default_pairs(3, 6, 2)
+    pairs = default_pairs(3, 6, 2, None)
     assert (3, 5, 1) in pairs and (5, 3, 2) in pairs
     assert all(nu in (1, 2) for (_, _, nu) in pairs)
     only1 = default_pairs(3, 6, 3, nu_values=[1])
@@ -217,7 +216,6 @@ def test_default_pairs():
 def test_find_q_prime_irrational_field_branch():
     # a genuinely irrational subspace: kernel of the single coordinate row
     # (th, -1, 0) inside 2x2 symmetric space, th = 2^(1/3)
-    from isocount.radicals import RadicalFieldSpec, kernel_basis_bounded
     from isocount.xchg import SymSubspace
 
     spec = RadicalFieldSpec(3, [2])
@@ -416,7 +414,21 @@ def row_streams(draw):
 @given(row_streams())
 def test_kernel_side_selection_equals_the_greedy_echelon_scan(data):
     n, stream = data
-    assert select_generators(stream, n) == greedy_echelon_scan(stream, n * (n + 1) // 2)
+    # Q(2^(1/3)) holds the entries of every stream
+    sel = xchg._GreedySelection(n, CUBIC)
+    for row, label in stream:
+        sel.offer(row, label)
+        if sel.full:
+            break
+    assert (sel.rows, sel.labels) == greedy_echelon_scan(stream, n * (n + 1) // 2)
+    # intersect_kernels takes its subspace basis from the scan's kernel
+    if not sel.rows:
+        return
+    if sel.full:
+        with pytest.raises(ZeroKernel):
+            kernel_basis_bounded(sel.rows, CUBIC)
+        return
+    assert coerce_vectors(CUBIC, sel.kernel) == kernel_basis_bounded(sel.rows, CUBIC)
 
 
 # entries beyond fits_int64 at n <= 3 (|gamma| >= 2^31) and beyond int64
@@ -508,7 +520,7 @@ def test_numpy_path_runs_exactly_within_the_bound(s, batched):
 
 def test_selection_refuses_a_row_the_kernel_test_misjudges():
     # the elimination must raise the rank of every row off the kernel
-    sel = xchg._GreedySelection(1)
+    sel = xchg._GreedySelection(1, xchg.RATIONALS)
     sel.kernel = [(1,)]
     sel.offer((1,), "a")
     sel.kernel = [(1,)]  # a stale kernel: (2,) now looks independent
